@@ -58,8 +58,11 @@ def _parse_marked_tree(text: str) -> MarkedTree:
     text = text.strip()
     if text.startswith("{"):
         obj = json.loads(text)
-        marks = frozenset(obj.get("marked", ()))
-        return MarkedTree(tree_core.tree_from_json(obj), marks)
+        tree = tree_core.tree_from_json(obj)
+        marks = obj.get("marked", [])
+        if not isinstance(marks, list) or not all(isinstance(x, int) for x in marks):
+            raise ValueError("'marked' must be a list of integers")
+        return MarkedTree(tree, frozenset(marks))
     tree_part, _, mark_part = text.partition("|")
     marks = frozenset(int(x) for x in mark_part.split(",") if x.strip())
     return MarkedTree(tree_core.tree_from_text(tree_part), marks)
@@ -75,7 +78,7 @@ def _parse_matching(text: str) -> Matching:
 def _parse_code(text: str):
     text = text.strip()
     if text.startswith("["):
-        return [(str(x), int(i)) for x, i in json.loads(text)]
+        return codes.code_from_json(json.loads(text))
     return codes.code_from_text(text)
 
 
@@ -84,8 +87,8 @@ def _parse_word_or_code(text: str):
     if text.startswith("["):
         obj = json.loads(text)
         if obj and isinstance(obj[0], list):
-            return [(str(x), int(i)) for x, i in obj]
-        return codes.validate_word(obj)
+            return codes.code_from_json(obj)
+        return codes.word_from_json(obj)
     if text and text[0] in "RLBT":
         return codes.code_from_text(text)
     return codes.word_from_text(text)

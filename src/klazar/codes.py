@@ -205,9 +205,27 @@ def code_from_text(text: str):
     return tuple(out)
 
 
+def code_from_json(obj):
+    """A tree or matching code from decoded JSON: [letter, integer] pairs."""
+    if not isinstance(obj, list) or not all(
+        isinstance(e, list) and len(e) == 2
+        and isinstance(e[0], str) and isinstance(e[1], int)
+        for e in obj
+    ):
+        raise ValueError("a code in JSON must be a list of [letter, integer] pairs")
+    return tuple((X, i) for X, i in obj)
+
+
 def word_to_text(word) -> str:
     return " ".join(str(a) for a in word)
 
 
 def word_from_text(text: str):
     return validate_word(tuple(int(x) for x in text.split()))
+
+
+def word_from_json(obj):
+    """A trapezoidal word from decoded JSON: a list of integers."""
+    if not isinstance(obj, list) or not all(isinstance(a, int) for a in obj):
+        raise ValueError("a word in JSON must be a list of integers")
+    return validate_word(obj)

@@ -14,7 +14,6 @@ size recurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import NamedTuple
 
 TOP = "top"
@@ -101,7 +100,15 @@ class Matching:
     def from_json(obj) -> "Matching":
         if not isinstance(obj, dict) or "pairs" not in obj:
             raise ValueError("matching JSON must be an object with 'pairs'")
-        return Matching.from_pairs(obj["pairs"], n=obj.get("n"))
+        pairs, n = obj["pairs"], obj.get("n")
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)
+            for p in pairs
+        ):
+            raise ValueError("matching JSON 'pairs' must be a list of integer pairs")
+        if n is not None and not isinstance(n, int):
+            raise ValueError(f"matching JSON 'n' must be an integer, got {n!r}")
+        return Matching.from_pairs(pairs, n=n)
 
 
 EMPTY_MATCHING = Matching((0,))
@@ -342,26 +349,69 @@ def check_power(pm: PowerMatching) -> int:
 
 
 def enumerate_stirling_matchings(n: int, k: int):
-    """All (n, k) Stirling matchings; there are S(n, k) of them."""
+    """All (n, k) Stirling matchings; there are S(n, k) of them.
+
+    Only legal diagrams are built.  The bottoms b = 1..n are scanned in
+    turn: each stays unmatched or takes a top a < b not used yet, and a
+    branch is cut as soon as the bottoms left cannot supply the n - k
+    edges still missing.  A free top always exists (edges so far use at
+    most b - 2 of the b - 1 tops left of b), so every branch not cut
+    ends in a distinct diagram.  Each diagram costs at most n levels of
+    recursion, each scanning fewer than n tops, plus its frozenset.  The
+    order is deterministic: at each bottom, unmatched first, then tops
+    ascending.
+    """
     if k < 0 or k > n:
         return
-    e = n - k
-    cells = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    for chosen in combinations(cells, e):
-        tops = [a for a, _ in chosen]
-        bots = [b for _, b in chosen]
-        if len(set(tops)) == e and len(set(bots)) == e:
-            yield StirlingMatching(n, frozenset(chosen))
+    edges = []
+    used = [False] * (n + 1)
+
+    def scan(b, need):
+        if need == 0:
+            yield StirlingMatching(n, frozenset(edges))
+            return
+        if need > n - b + 1:
+            return
+        yield from scan(b + 1, need)
+        for a in range(1, b):
+            if not used[a]:
+                used[a] = True
+                edges.append((a, b))
+                yield from scan(b + 1, need - 1)
+                edges.pop()
+                used[a] = False
+
+    yield from scan(1, n - k)
 
 
 def enumerate_power_matchings(k: int, n: int):
-    """All (k, n) power matchings; there are k**n of them."""
+    """All (k, n) power matchings; there are k**n of them.
+
+    Only legal diagrams are built: bottom b = 1..n takes a free top in
+    [1, k + b - 1].  The b - 1 earlier bottoms hold tops inside that
+    range, so each step has exactly k choices and nothing is discarded.
+    Each diagram costs n levels of recursion, each scanning fewer than
+    k + n tops, plus its frozenset.  The order is deterministic:
+    ascending lexicographic in the tuple of tops of bottoms 1..n.
+    """
     if k < 0 or n < 0:
         return
-    ranges = [range(1, k + b) for b in range(1, n + 1)]
-    for tops in product(*ranges):
-        if len(set(tops)) == n:
+    tops = []
+    used = [False] * (k + n + 1)
+
+    def place(b):
+        if b > n:
             yield PowerMatching(k + n, n, frozenset(zip(tops, range(1, n + 1))))
+            return
+        for a in range(1, k + b):
+            if not used[a]:
+                used[a] = True
+                tops.append(a)
+                yield from place(b + 1)
+                tops.pop()
+                used[a] = False
+
+    yield from place(1)
 
 
 def stirling_to_partition(sm: StirlingMatching) -> tuple:

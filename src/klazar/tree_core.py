@@ -102,8 +102,12 @@ def tree_to_json(t: Tree) -> dict:
 def tree_from_json(obj) -> Tree:
     if not isinstance(obj, dict) or "label" not in obj:
         raise ValueError("tree JSON must be an object with 'label'")
-    kids = obj.get("children", [])
-    return Tree(int(obj["label"]), tuple(tree_from_json(c) for c in kids))
+    label, kids = obj["label"], obj.get("children", [])
+    if not isinstance(label, int):
+        raise ValueError(f"tree JSON 'label' must be an integer, got {label!r}")
+    if not isinstance(kids, list):
+        raise ValueError(f"tree JSON 'children' must be a list, got {kids!r}")
+    return Tree(label, tuple(tree_from_json(c) for c in kids))
 
 
 def check_increasing_tree(t: Tree) -> int:

@@ -8,7 +8,7 @@ definitions, favouring obviousness over speed.
 
 import math
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 INF = math.inf
 
@@ -50,6 +50,34 @@ def bf_set_partitions(n):
 
 def bf_stirling2(n, k):
     return sum(1 for p in bf_set_partitions(n) if len(p) == k)
+
+
+def bf_stirling_matchings(n, k):
+    """Every set of n - k disjoint edges (a, b), 1 <= a < b <= n, as a
+    frozenset, grown top by top: each top is left out or joined to an
+    unused bottom on its right."""
+
+    def rec(a, used):
+        if a > n:
+            yield frozenset()
+            return
+        yield from rec(a + 1, used)
+        for b in range(a + 1, n + 1):
+            if b not in used:
+                for more in rec(a + 1, used | {b}):
+                    yield more | {(a, b)}
+
+    return {edges for edges in rec(1, frozenset()) if len(edges) == n - k}
+
+
+def bf_power_matchings(k, n):
+    """Every choice of distinct tops t_1..t_n out of k + n with
+    t_b <= k + b - 1, as the frozenset of edges (t_b, b)."""
+    return {
+        frozenset(zip(tops, range(1, n + 1)))
+        for tops in permutations(range(1, k + n + 1), n)
+        if all(t <= k + b - 1 for b, t in enumerate(tops, start=1))
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,25 @@ def test_map_rejects_wrong_object(monkeypatch, capsys):
     assert err.startswith("error: invalid input:")
 
 
+@pytest.mark.parametrize(
+    "which, stdin",
+    [
+        ("sigma", '{"label":0,"children":5}'),
+        ("tau-inv", '{"pairs":[[1,2]],"n":"x"}'),
+        ("trapezoidal", "[1,[2]]"),
+        ("trapezoidal", '[["R",0],["L",[1]]]'),
+        ("phi", '{"label":0,"children":[],"marked":5}'),
+    ],
+)
+def test_map_rejects_json_of_the_wrong_type(which, stdin, monkeypatch, capsys):
+    code, _, err = run(
+        ["map", "--which", which], stdin=stdin, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: invalid input:")
+
+
 def test_stats_uplines_text(monkeypatch, capsys):
     code, out, _ = run(
         ["stats", "--kind", "matchings", "--n", "2", "--stat", "uplines"],

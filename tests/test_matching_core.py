@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -185,6 +187,37 @@ def test_stirling_counts():
             assert got == bf.bf_stirling2(n, k)
 
 
+def test_stirling_matchings_match_the_oracle():
+    for n in range(8):
+        for k in range(n + 1):
+            sms = list(enumerate_stirling_matchings(n, k))
+            assert all(sm.cols == n for sm in sms)
+            edges = [sm.edges for sm in sms]
+            assert len(set(edges)) == len(edges), (n, k)
+            assert set(edges) == bf.bf_stirling_matchings(n, k), (n, k)
+
+
+def test_stirling_counts_at_ten():
+    # S(n, k) by inclusion-exclusion over the empty blocks
+    def s2(n, k):
+        return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)
+
+    for k in range(11):
+        assert sum(1 for _ in enumerate_stirling_matchings(10, k)) == s2(10, k), k
+
+
+def test_stirling_and_power_edge_cases():
+    assert list(enumerate_stirling_matchings(0, 0)) == [StirlingMatching(0, frozenset())]
+    assert list(enumerate_stirling_matchings(3, 0)) == []
+    assert list(enumerate_stirling_matchings(3, 4)) == []
+    assert list(enumerate_stirling_matchings(3, -1)) == []
+    assert list(enumerate_power_matchings(0, 0)) == [PowerMatching(0, 0, frozenset())]
+    for n in range(1, 5):
+        assert list(enumerate_power_matchings(0, n)) == []
+    assert list(enumerate_power_matchings(-1, 2)) == []
+    assert list(enumerate_power_matchings(2, -1)) == []
+
+
 def test_stirling_partition_bijection_small():
     for n in range(6):
         for k in range(n + 1):
@@ -213,6 +246,16 @@ def test_power_counts():
         for n in range(5):
             got = sum(1 for _ in enumerate_power_matchings(k, n))
             assert got == k**n
+
+
+def test_power_matchings_match_the_oracle():
+    for k in range(6):
+        for n in range(8 - k):
+            pms = list(enumerate_power_matchings(k, n))
+            assert all((pm.top_count, pm.bottom_count) == (k + n, n) for pm in pms)
+            edges = [pm.edges for pm in pms]
+            assert len(set(edges)) == len(edges), (k, n)
+            assert set(edges) == bf.bf_power_matchings(k, n), (k, n)
 
 
 def test_power_validation():
