@@ -31,7 +31,12 @@ from .matching_core import (
 from .tree_core import (
     MarkedTree,
     Tree,
+    _assoc_in,
+    _children_to_cohort,
+    _cohort_to_children,
+    _insert,
     _is_violator,
+    _remove_largest,
     apply_F_tables,
     check_increasing_tree,
     check_marked_tree,
@@ -49,14 +54,6 @@ from .tree_core import (
 # phi: marked violator-free trees -> all increasing trees
 
 
-def _big_cohort_start(sibs, u):
-    """Index in sibs where u's big cohort begins (== index of u if empty)."""
-    start = sibs.index(u)
-    while start > 0 and sibs[start - 1] > u:
-        start -= 1
-    return start
-
-
 def phi(mt: MarkedTree) -> Tree:
     """Turn each marked interior vertex into a violator.
 
@@ -69,15 +66,7 @@ def phi(mt: MarkedTree) -> Tree:
     parent, children = tables_of(mt.tree)
     for u in sorted(mt.marked, reverse=True):
         assert children[u], "marks are interior vertices"
-        v = min(children[u])
-        vpos = children[u].index(v)
-        moved = children[u][: vpos + 1]
-        del children[u][: vpos + 1]
-        sibs = children[parent[u]]
-        start = _big_cohort_start(sibs, u)
-        sibs[start:start] = moved
-        for w in moved:
-            parent[w] = parent[u]
+        _children_to_cohort(parent, children, u)
     out = tree_from_tables(children)
     assert set(klazar_violators(out)) == set(mt.marked)
     return out
@@ -91,17 +80,7 @@ def phi_inverse(t: Tree) -> MarkedTree:
     parent, children = tables_of(t)
     marks = klazar_violators(t)
     for u in marks:
-        sibs = children[parent[u]]
-        upos = sibs.index(u)
-        start = _big_cohort_start(sibs, u)
-        assert start < upos, "violators have a nonempty big cohort"
-        v = min(sibs[start:upos])
-        vpos = sibs.index(v)
-        moved = sibs[start : vpos + 1]
-        del sibs[start : vpos + 1]
-        children[u][:0] = moved
-        for w in moved:
-            parent[w] = u
+        _cohort_to_children(parent, children, u)
     mt = MarkedTree(tree_from_tables(children), frozenset(marks))
     check_marked_tree(mt)
     return mt
@@ -118,14 +97,7 @@ def sigma(t: Tree):
     code = []
     for k in range(n, 0, -1):
         apply_F_tables(parent, children)
-        sibs = children[parent[k]]
-        pos = sibs.index(k)
-        if pos == len(sibs) - 1:
-            code.append(("R", parent[k]))
-        else:
-            code.append(("L", sibs[pos + 1]))
-        sibs.pop(pos)
-        del children[k], parent[k]
+        code.append(_remove_largest(parent, children, k))
     code.reverse()
     return validate_tree_code(code)
 
@@ -136,14 +108,7 @@ def sigma_inverse(code) -> Tree:
     parent = {}
     children = {0: []}
     for k, (X, i) in enumerate(code, start=1):
-        children[k] = []
-        if X == "R":
-            parent[k] = i
-            children[i].append(k)
-        else:
-            p = parent[i]
-            parent[k] = p
-            children[p].insert(children[p].index(i), k)
+        _insert(parent, children, k, X, i)
         apply_F_tables(parent, children)
     return tree_from_tables(children)
 
@@ -152,13 +117,13 @@ def violators_from_treecode(code):
     """(violator, partner) pairs of sigma_inverse(code), read off the code:
     one pair (i, j) per index i whose (L,i) multiplicity is odd, with j
     the last (1-based) position carrying index i under either letter."""
-    code = validate_tree_code(code)
-    odd = [i for i, c in Counter(i for X, i in code if X == "L").items() if c % 2]
-    out = set()
-    for i in odd:
-        j = max(pos for pos, (X, idx) in enumerate(code, start=1) if idx == i)
-        out.add((i, j))
-    return out
+    return _odd_pairs(validate_tree_code(code), "L")
+
+
+def _odd_pairs(code, letter):
+    odd = [i for i, c in Counter(i for X, i in code if X == letter).items() if c % 2]
+    last = {i: pos for pos, (_, i) in enumerate(code, start=1)}
+    return {(i, last[i]) for i in odd}
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +188,7 @@ def _tau_entry(m):
 def uplines_from_matchcode(code):
     """Uplines of tau(code), read off the code: one upline (i, j) per
     index i with odd (T,i) multiplicity, j the last position carrying i."""
-    code = validate_match_code(code)
-    odd = [i for i, c in Counter(i for Y, i in code if Y == "T").items() if c % 2]
-    out = set()
-    for i in odd:
-        j = max(pos for pos, (Y, idx) in enumerate(code, start=1) if idx == i)
-        out.add((i, j))
-    return out
+    return _odd_pairs(validate_match_code(code), "T")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +217,7 @@ def _Phi(t, n):
         return enlarge(_Phi(pruned, n - 1), DotRef(TOP, H_map(pruned, p)))
     j = sibs[pos + 1]
     if _is_violator(parent, children, j):
-        if min(b for b in sibs[_big_cohort_start(sibs, j) : sibs.index(j)]) == n:
+        if _assoc_in(children, sibs, j) == n:
             return enlarge(_Phi(prune_tree(t), n - 1), DotRef(BOT, j))
         return enlarge(_Phi(prune_tree(involution_F(t)), n - 1), DotRef(BOT, j))
     pruned = prune_tree(involution_F(t))

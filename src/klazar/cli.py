@@ -60,7 +60,7 @@ def _parse_marked_tree(text: str) -> MarkedTree:
         obj = json.loads(text)
         tree = tree_core.tree_from_json(obj)
         marks = obj.get("marked", [])
-        if not isinstance(marks, list) or not all(isinstance(x, int) for x in marks):
+        if not isinstance(marks, list) or not all(type(x) is int for x in marks):
             raise ValueError("'marked' must be a list of integers")
         return MarkedTree(tree, frozenset(marks))
     tree_part, _, mark_part = text.partition("|")
@@ -171,10 +171,6 @@ def _shape_json(s):
 # map
 
 
-def _natural_tree_code(t: Tree):
-    return codes.tree_to_code(t)
-
-
 MAPS = {
     "phi": (_parse_marked_tree, bijections.phi),
     "phi-inv": (_parse_tree, bijections.phi_inverse),
@@ -185,7 +181,7 @@ MAPS = {
     "tau-variant": (_parse_code, bijections.tau_variant),
     "Phi": (_parse_tree, bijections.Phi_recursive),
     "Phi-explicit": (_parse_tree, bijections.Phi_explicit),
-    "tree-code": (_parse_tree, _natural_tree_code),
+    "tree-code": (_parse_tree, codes.tree_to_code),
     "code-tree": (_parse_code, codes.code_to_tree),
     "match-code": (_parse_matching, codes.matching_to_code),
     "code-match": (_parse_code, codes.code_to_matching),

@@ -20,7 +20,7 @@ from collections import Counter
 from itertools import product
 
 from .matching_core import BOT, TOP, EMPTY_MATCHING, DotRef, Matching, enlarge, prune_matching
-from .tree_core import Tree, tables_of, tree_from_tables
+from .tree_core import Tree, _insert, _remove_largest, tables_of, tree_from_tables
 
 
 def validate_tree_code(code):
@@ -70,31 +70,14 @@ def code_to_tree(code) -> Tree:
     parent = {}
     children = {0: []}
     for k, (X, i) in enumerate(code, start=1):
-        children[k] = []
-        if X == "R":
-            parent[k] = i
-            children[i].append(k)
-        else:
-            p = parent[i]
-            parent[k] = p
-            children[p].insert(children[p].index(i), k)
+        _insert(parent, children, k, X, i)
     return tree_from_tables(children)
 
 
 def tree_to_code(t: Tree):
     """Read off the insertion history by deleting n, n-1, ... in turn."""
     parent, children = tables_of(t)
-    code = []
-    for k in range(len(parent), 0, -1):
-        p = parent[k]
-        sibs = children[p]
-        pos = sibs.index(k)
-        if pos < len(sibs) - 1:
-            code.append(("L", sibs[pos + 1]))
-        else:
-            code.append(("R", p))
-        sibs.pop(pos)
-        del children[k], parent[k]
+    code = [_remove_largest(parent, children, k) for k in range(len(parent), 0, -1)]
     code.reverse()
     return validate_tree_code(code)
 
@@ -121,14 +104,13 @@ def matching_to_code(m: Matching):
 
 
 def treecode_to_matchcode(code):
-    code = validate_tree_code(code)
-    out = []
-    for k, (X, i) in enumerate(code, start=1):
-        if X == "R":
-            out.append(("B", k if i == 0 else i))
-        else:
-            out.append(("T", i))
-    return validate_match_code(out)
+    return validate_match_code(_swap_letters(validate_tree_code(code)))
+
+
+def _swap_letters(code):
+    # R<->B and L<->T, with (R, 0) at step k traded for (B, k); no validation
+    return tuple(("B", k if i == 0 else i) if X == "R" else ("T", i)
+                 for k, (X, i) in enumerate(code, start=1))
 
 
 def matchcode_to_treecode(code):
@@ -150,10 +132,12 @@ def code_to_trapezoidal(code):
 
 
 def trapezoidal_to_code(word):
-    word = validate_word(word)
-    return validate_tree_code(
-        tuple(("L", a // 2) if a % 2 == 0 else ("R", (a - 1) // 2) for a in word)
-    )
+    return validate_tree_code(_word_to_code(validate_word(word)))
+
+
+def _word_to_code(word):
+    # a_k = 2i reads (L, i) and a_k = 2i+1 reads (R, i); no validation
+    return tuple(("L", a // 2) if a % 2 == 0 else ("R", a // 2) for a in word)
 
 
 def word_parity_stats(word):
@@ -178,13 +162,14 @@ def enumerate_words(n: int):
 
 
 def enumerate_tree_codes(n: int):
+    # words are legal by construction, so skip the validating conversions
     for w in enumerate_words(n):
-        yield trapezoidal_to_code(w)
+        yield _word_to_code(w)
 
 
 def enumerate_match_codes(n: int):
     for w in enumerate_words(n):
-        yield treecode_to_matchcode(trapezoidal_to_code(w))
+        yield _swap_letters(_word_to_code(w))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +181,8 @@ def code_to_text(code) -> str:
 
 
 def code_from_text(text: str):
+    if not text.strip():
+        return ()
     out = []
     for chunk in text.strip().split(","):
         chunk = chunk.strip()
@@ -209,7 +196,7 @@ def code_from_json(obj):
     """A tree or matching code from decoded JSON: [letter, integer] pairs."""
     if not isinstance(obj, list) or not all(
         isinstance(e, list) and len(e) == 2
-        and isinstance(e[0], str) and isinstance(e[1], int)
+        and isinstance(e[0], str) and type(e[1]) is int
         for e in obj
     ):
         raise ValueError("a code in JSON must be a list of [letter, integer] pairs")
@@ -226,6 +213,6 @@ def word_from_text(text: str):
 
 def word_from_json(obj):
     """A trapezoidal word from decoded JSON: a list of integers."""
-    if not isinstance(obj, list) or not all(isinstance(a, int) for a in obj):
+    if not isinstance(obj, list) or not all(type(a) is int for a in obj):
         raise ValueError("a word in JSON must be a list of integers")
     return validate_word(obj)

@@ -102,11 +102,11 @@ class Matching:
             raise ValueError("matching JSON must be an object with 'pairs'")
         pairs, n = obj["pairs"], obj.get("n")
         if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)
+            isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
             for p in pairs
         ):
             raise ValueError("matching JSON 'pairs' must be a list of integer pairs")
-        if n is not None and not isinstance(n, int):
+        if n is not None and type(n) is not int:
             raise ValueError(f"matching JSON 'n' must be an integer, got {n!r}")
         return Matching.from_pairs(pairs, n=n)
 

@@ -103,7 +103,7 @@ def tree_from_json(obj) -> Tree:
     if not isinstance(obj, dict) or "label" not in obj:
         raise ValueError("tree JSON must be an object with 'label'")
     label, kids = obj["label"], obj.get("children", [])
-    if not isinstance(label, int):
+    if type(label) is not int:
         raise ValueError(f"tree JSON 'label' must be an integer, got {label!r}")
     if not isinstance(kids, list):
         raise ValueError(f"tree JSON 'children' must be a list, got {kids!r}")
@@ -178,6 +178,69 @@ def _require_vertex(children, v, allow_root=False):
         raise ValueError("the root has no siblings")
 
 
+# The tree-editing steps shared by enumeration, codes, sigma, phi and F.
+
+
+def _insert(parent, children, k, X, i):
+    """Insert leaf k by build-code entry (X, i) and return (sibs, pos);
+    deleting sibs[pos], children[k] and parent[k] undoes it."""
+    p = i if X == "R" else parent[i]
+    sibs = children[p]
+    pos = len(sibs) if X == "R" else sibs.index(i)
+    sibs.insert(pos, k)
+    parent[k] = p
+    children[k] = []
+    return sibs, pos
+
+
+def _remove_largest(parent, children, k):
+    """Delete leaf k; return the build-code entry that reinserts it."""
+    p = parent.pop(k)
+    del children[k]
+    sibs = children[p]
+    pos = sibs.index(k)
+    del sibs[pos]
+    return ("L", sibs[pos]) if pos < len(sibs) else ("R", p)
+
+
+def _big_cohort_start(sibs, pos):
+    """Index in sibs where the big cohort of sibs[pos] begins (pos if empty)."""
+    v = sibs[pos]
+    while pos > 0 and sibs[pos - 1] > v:
+        pos -= 1
+    return pos
+
+
+def _cohort_to_children(parent, children, u):
+    """Move u's big cohort, up to and including its smallest entry, to
+    the front of u's child list: F on a violator, one step of phi^-1."""
+    sibs = children[parent[u]]
+    upos = sibs.index(u)
+    start = _big_cohort_start(sibs, upos)
+    assert start < upos, "violators have a nonempty big cohort"
+    end = sibs.index(min(sibs[start:upos]), start) + 1
+    moved = sibs[start:end]
+    del sibs[start:end]
+    children[u][:0] = moved
+    for w in moved:
+        parent[w] = u
+
+
+def _children_to_cohort(parent, children, u):
+    """Move u's smallest child and that child's cohort to sit immediately
+    left of u's big cohort: F on a complier, one step of phi."""
+    kids = children[u]
+    end = kids.index(min(kids)) + 1
+    moved = kids[:end]
+    del kids[:end]
+    p = parent[u]
+    sibs = children[p]
+    start = _big_cohort_start(sibs, sibs.index(u))
+    sibs[start:start] = moved
+    for w in moved:
+        parent[w] = p
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -196,31 +259,14 @@ def enumerate_increasing_trees(n: int):
     parent = {}
     children = {0: []}
 
-    def freeze(v):
-        return Tree(v, tuple(freeze(c) for c in children[v]))
-
     def rec(k):
         if k > n:
-            yield freeze(0)
+            yield tree_from_tables(children)
             return
         for a in range(1, 2 * k):
-            if a % 2:
-                i = (a - 1) // 2
-                children[k] = []
-                parent[k] = i
-                children[i].append(k)
-                yield from rec(k + 1)
-                children[i].pop()
-            else:
-                i = a // 2
-                p = parent[i]
-                pos = children[p].index(i)
-                children[k] = []
-                parent[k] = p
-                children[p].insert(pos, k)
-                yield from rec(k + 1)
-                children[p].pop(pos)
-            del children[k], parent[k]
+            sibs, pos = _insert(parent, children, k, "R" if a % 2 else "L", a // 2)
+            yield from rec(k + 1)
+            del sibs[pos], children[k], parent[k]
 
     yield from rec(1)
 
@@ -268,11 +314,8 @@ def big_cohort(t: Tree, v: int) -> tuple:
     Nonempty exactly when v is a descent terminator (its immediate
     left sibling exceeds it).
     """
-    co = cohort(t, v)
-    i = len(co)
-    while i > 0 and co[i - 1] > v:
-        i -= 1
-    return co[i:]
+    co = cohort(t, v) + (v,)
+    return co[_big_cohort_start(co, len(co) - 1) : -1]
 
 
 def associate(t: Tree, v: int):
@@ -317,46 +360,40 @@ def violator_partner(t: Tree, v: int) -> int:
     _require_vertex(children, v)
     if not _is_violator(parent, children, v):
         raise ValueError(f"{v} is not a Klazar violator")
-    sibs = children[parent[v]]
-    cands = [sibs[sibs.index(v) - 1]]
-    if children[v]:
-        cands.append(children[v][-1])
-    return max(cands)
+    return _partner(parent, children, v)
 
 
 def violator_partners(t: Tree) -> dict:
     """All (violator, partner) pairs of t as a dict."""
     parent, children = tables_of(t)
-    out = {}
-    for v in parent:
-        if _is_violator(parent, children, v):
-            sibs = children[parent[v]]
-            cands = [sibs[sibs.index(v) - 1]]
-            if children[v]:
-                cands.append(children[v][-1])
-            out[v] = max(cands)
-    return out
+    return {v: _partner(parent, children, v) for v in parent if _is_violator(parent, children, v)}
+
+
+def _partner(parent, children, v):
+    sibs = children[parent[v]]
+    left = sibs[sibs.index(v) - 1]
+    return max(left, children[v][-1]) if children[v] else left
 
 
 def bad_vertices(t: Tree) -> frozenset:
     """Vertices with a right neighbour that they either exceed or that
     they sit next to while having a child of their own."""
-    _, children = tables_of(t)
-    out = set()
-    for sibs in children.values():
-        for i, v in enumerate(sibs[:-1]):
-            if v > sibs[i + 1] or children[v]:
-                out.add(v)
-    return frozenset(out)
+    return _bad_scan(t, reverse=False)
 
 
 def reverse_bad_vertices(t: Tree) -> frozenset:
     """Mirror image of bad_vertices: left neighbour instead of right."""
+    return _bad_scan(t, reverse=True)
+
+
+def _bad_scan(t, reverse):
+    # the reverse case is the same scan over mirrored sibling lists
     _, children = tables_of(t)
     out = set()
     for sibs in children.values():
-        for i, v in enumerate(sibs[1:], start=1):
-            if v > sibs[i - 1] or children[v]:
+        sibs = sibs[::-1] if reverse else sibs
+        for i, v in enumerate(sibs[:-1]):
+            if v > sibs[i + 1] or children[v]:
                 out.add(v)
     return frozenset(out)
 
@@ -397,41 +434,18 @@ def pi_inverse(t: Tree, v: int) -> int:
 def apply_F_tables(parent, children) -> None:
     """In-place F on tables.  See involution_F for the contract."""
     n = len(parent)  # labels are 1..n plus root 0
-    p = parent[n]
-    sibs = children[p]
+    sibs = children[parent[n]]
     pos = sibs.index(n)
     if pos == len(sibs) - 1:
         return
     j = sibs[pos + 1]
-    jpos = pos + 1
     if _is_violator(parent, children, j):
-        a = _assoc_in(children, sibs, j)
-        if a == n:
-            return
-        # big cohort of j is P a Q n; move P a to be j's leftmost children
-        start = jpos
-        while start > 0 and sibs[start - 1] > j:
-            start -= 1
-        apos = sibs.index(a)
-        assert start <= apos < jpos
-        moved = sibs[start : apos + 1]
-        del sibs[start : apos + 1]
-        children[j][:0] = moved
-        for w in moved:
-            parent[w] = j
+        # big cohort of j is P a Q n; P a become j's leftmost children
+        if _assoc_in(children, sibs, j) != n:
+            _cohort_to_children(parent, children, j)
     else:
-        # j's smallest child a and a's cohort move just left of B(j)
         assert children[j], "a complier with n as left neighbour has children"
-        a = min(children[j])
-        apos = children[j].index(a)
-        moved = children[j][: apos + 1]
-        del children[j][: apos + 1]
-        start = jpos
-        while start > 0 and sibs[start - 1] > j:
-            start -= 1
-        sibs[start:start] = moved
-        for w in moved:
-            parent[w] = p
+        _children_to_cohort(parent, children, j)
 
 
 def involution_F(t: Tree) -> Tree:
@@ -484,8 +498,7 @@ def prune_tree(t: Tree) -> Tree:
     if n == 0:
         raise ValueError("cannot prune the root-only tree")
     parent, children = tables_of(t)
-    children[parent[n]].remove(n)
-    del children[n]
+    _remove_largest(parent, children, n)
     return tree_from_tables(children)
 
 

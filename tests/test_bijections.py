@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -17,7 +18,7 @@ from klazar.bijections import (
     uplines_from_matchcode,
     violators_from_treecode,
 )
-from klazar.codes import enumerate_match_codes, enumerate_tree_codes
+from klazar.codes import code_to_tree, enumerate_match_codes, enumerate_tree_codes, tree_to_code
 from klazar.matching_core import Matching, enumerate_matchings, matching_from_text, uplines
 from klazar.tree_core import (
     MarkedTree,
@@ -195,6 +196,18 @@ def test_Phi_routes_agree_exhaustively():
 def test_Phi_routes_agree_random(w):
     t = tree_of(w)
     assert Phi_recursive(t) == Phi_explicit(t)
+
+
+def test_round_trips_on_large_random_trees():
+    # far beyond the exhaustive sizes: 20 seeded uniform words at n = 200
+    rng = random.Random(200)
+    for _ in range(20):
+        t = tree_of([rng.randint(1, 2 * k - 1) for k in range(1, 201)])
+        assert code_to_tree(tree_to_code(t)) == t
+        assert sigma_inverse(sigma(t)) == t
+        assert phi(phi_inverse(t)) == t
+        assert Phi_recursive(t) == Phi_explicit(t)
+        assert violators_from_treecode(sigma(t)) == set(violator_partners(t).items())
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,11 @@ def test_map_rejects_wrong_object(monkeypatch, capsys):
         ("trapezoidal", "[1,[2]]"),
         ("trapezoidal", '[["R",0],["L",[1]]]'),
         ("phi", '{"label":0,"children":[],"marked":5}'),
+        ("sigma", '{"label": false, "children": []}'),
+        ("sigma-inv", '[["R",0],["L",true]]'),
+        ("tau-inv", '{"pairs": [[true, 2]]}'),
+        ("trapezoidal", "[1,true]"),
+        ("phi", '{"label":0,"children":[{"label":1,"children":[]}],"marked":[true]}'),
     ],
 )
 def test_map_rejects_json_of_the_wrong_type(which, stdin, monkeypatch, capsys):
@@ -285,6 +290,28 @@ def test_draw_tree_ascii(monkeypatch, capsys):
     )
     assert code == 0
     assert out == "0\n  2\n  1\n    3\n"
+
+
+def test_draw_rejects_a_boolean_label(monkeypatch, capsys):
+    code, out, err = run(
+        ["draw"], stdin='{"label": false, "children": []}', monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_empty_tree_code_text_roundtrips_through_code_tree(monkeypatch, capsys):
+    code, out, _ = run(
+        ["map", "--which", "tree-code", "--format", "text"], stdin="0",
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert (code, out) == (0, "\n")
+    code, out, _ = run(
+        ["map", "--which", "code-tree", "--format", "text"], stdin=out,
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert (code, out) == (0, "0\n")
 
 
 def test_draw_matching_ascii(monkeypatch, capsys):

@@ -166,6 +166,8 @@ def test_code_text_roundtrip():
     assert code_to_text(c) == "R0,L1"
     assert code_from_text("R0,L1") == c
     assert code_from_text("B1,T1") == (("B", 1), ("T", 1))
+    assert code_to_text(()) == ""
+    assert code_from_text("") == code_from_text(" \n") == ()
     with pytest.raises(ValueError):
         code_from_text("Z9")
 
