@@ -31,22 +31,20 @@ from .matching_core import (
 from .tree_core import (
     MarkedTree,
     Tree,
+    _H,
     _assoc_in,
     _children_to_cohort,
     _cohort_to_children,
     _insert,
     _is_violator,
+    _partner,
     _remove_largest,
     apply_F_tables,
     check_increasing_tree,
     check_marked_tree,
-    H_map,
-    involution_F,
     klazar_violators,
-    prune_tree,
     tables_of,
     tree_from_tables,
-    violator_partner,
 )
 
 
@@ -196,32 +194,55 @@ def uplines_from_matchcode(code):
 
 
 def Phi_recursive(t: Tree) -> Matching:
+    """The paper's recursive Phi: remove n, n-1, ..., 1 from one table,
+    read one dot per level, then enlarge from level 1 up.
+
+    At level k the dot depends on where k sits.  If k is the last child
+    of p: (BOT, k) for p the root, (BOT, p) for a violator p, and
+    (TOP, H(p)) for a complier p, with H taken after k is removed.
+    Otherwise let j be k's right neighbour: (BOT, j) for a violator j
+    whose associate is k; (BOT, j) after applying F for any other
+    violator j; and for a complier j, F turns j into a violator and the
+    dot is (TOP, partner of j), read after k is removed.
+
+    The tables are validated once and edited in place, with no Tree
+    built in between.  The route uses only F, H, partners and enlarge,
+    never sigma, tau or a code, so its agreement with Phi_explicit is
+    independent evidence that both are right.
+    """
     n = check_increasing_tree(t)
-    return _Phi(t, n)
-
-
-def _Phi(t, n):
-    """Six-way case split on where n sits, one enlargement per level."""
-    if n == 0:
-        return EMPTY_MATCHING
     parent, children = tables_of(t)
-    sibs = children[parent[n]]
-    pos = sibs.index(n)
-    if pos == len(sibs) - 1:
-        p = parent[n]
-        if p == 0:
-            return enlarge(_Phi(prune_tree(t), n - 1), DotRef(BOT, n))
-        if _is_violator(parent, children, p):
-            return enlarge(_Phi(prune_tree(t), n - 1), DotRef(BOT, p))
-        pruned = prune_tree(t)
-        return enlarge(_Phi(pruned, n - 1), DotRef(TOP, H_map(pruned, p)))
-    j = sibs[pos + 1]
-    if _is_violator(parent, children, j):
-        if _assoc_in(children, sibs, j) == n:
-            return enlarge(_Phi(prune_tree(t), n - 1), DotRef(BOT, j))
-        return enlarge(_Phi(prune_tree(involution_F(t)), n - 1), DotRef(BOT, j))
-    pruned = prune_tree(involution_F(t))
-    return enlarge(_Phi(pruned, n - 1), DotRef(TOP, violator_partner(pruned, j)))
+    dots = []
+    for k in range(n, 0, -1):
+        p = parent[k]
+        sibs = children[p]
+        pos = sibs.index(k) + 1
+        if pos == len(sibs):
+            complier = p != 0 and not _is_violator(parent, children, p)
+            _remove_largest(parent, children, k)
+            if p == 0:
+                dots.append(DotRef(BOT, k))
+            elif complier:
+                dots.append(DotRef(TOP, _H(parent, children, p)))
+            else:
+                dots.append(DotRef(BOT, p))
+            continue
+        j = sibs[pos]
+        if _is_violator(parent, children, j):
+            if _assoc_in(children, sibs, j) != k:
+                apply_F_tables(parent, children)
+            _remove_largest(parent, children, k)
+            dots.append(DotRef(BOT, j))
+            continue
+        apply_F_tables(parent, children)
+        _remove_largest(parent, children, k)
+        if not _is_violator(parent, children, j):
+            raise ValueError(f"{j} is not a Klazar violator")
+        dots.append(DotRef(TOP, _partner(parent, children, j)))
+    m = EMPTY_MATCHING
+    for d in reversed(dots):
+        m = enlarge(m, d)
+    return m
 
 
 def Phi_explicit(t: Tree) -> Matching:

@@ -134,9 +134,9 @@ def check_increasing_tree(t: Tree) -> int:
 
 def check_marked_tree(mt: MarkedTree) -> int:
     n = check_increasing_tree(mt.tree)
-    if klazar_violators(mt.tree):
+    parent, children = tables_of(mt.tree)
+    if _klazar_violators(parent, children):
         raise ValueError("marked tree must be violator-free")
-    _, children = tables_of(mt.tree)
     for u in mt.marked:
         if u not in children:
             raise ValueError(f"marked label {u} not in tree")
@@ -343,7 +343,10 @@ def klazar_violators(t: Tree) -> tuple:
     so a leaf is a violator exactly when its big cohort is nonempty and
     a vertex with empty big cohort never qualifies.
     """
-    parent, children = tables_of(t)
+    return _klazar_violators(*tables_of(t))
+
+
+def _klazar_violators(parent, children):
     return tuple(sorted(v for v in parent if _is_violator(parent, children, v)))
 
 
@@ -378,17 +381,16 @@ def _partner(parent, children, v):
 def bad_vertices(t: Tree) -> frozenset:
     """Vertices with a right neighbour that they either exceed or that
     they sit next to while having a child of their own."""
-    return _bad_scan(t, reverse=False)
+    return _bad_scan(tables_of(t)[1], reverse=False)
 
 
 def reverse_bad_vertices(t: Tree) -> frozenset:
     """Mirror image of bad_vertices: left neighbour instead of right."""
-    return _bad_scan(t, reverse=True)
+    return _bad_scan(tables_of(t)[1], reverse=True)
 
 
-def _bad_scan(t, reverse):
+def _bad_scan(children, reverse):
     # the reverse case is the same scan over mirrored sibling lists
-    _, children = tables_of(t)
     out = set()
     for sibs in children.values():
         sibs = sibs[::-1] if reverse else sibs
@@ -420,7 +422,7 @@ def pi_inverse(t: Tree, v: int) -> int:
     """Leaf at the end of the leftmost downward path from v."""
     parent, children = tables_of(t)
     _require_vertex(children, v)
-    if v not in reverse_bad_vertices(t):
+    if v not in _bad_scan(children, reverse=True):
         raise ValueError(f"{v} is not reverse-bad")
     while children[v]:
         v = children[v][0]
@@ -482,14 +484,28 @@ def H_map(t: Tree, v: int) -> int:
     """
     parent, children = tables_of(t)
     _require_vertex(children, v)
+    return _H(parent, children, v)
+
+
+def _H(parent, children, v):
+    """H on tables.  A partner is the left neighbour or the rightmost
+    child of its violator, so the one violator v can be partner of is
+    its right neighbour, or its parent when v is a last child."""
     if _is_violator(parent, children, v):
         raise ValueError(f"{v} is a violator, H is not defined there")
-    partner_to_violator = {w: u for u, w in violator_partners(t).items()}
-    while v in partner_to_violator:
-        nxt = partner_to_violator[v]
+    while True:
+        p = parent[v]
+        sibs = children[p]
+        pos = sibs.index(v) + 1
+        nxt = sibs[pos] if pos < len(sibs) else p
+        if (
+            nxt == 0
+            or not _is_violator(parent, children, nxt)
+            or _partner(parent, children, nxt) != v
+        ):
+            return v
         assert nxt < v
         v = nxt
-    return v
 
 
 def prune_tree(t: Tree) -> Tree:
@@ -514,7 +530,10 @@ class VertexStats:
 
 
 def descent_terminators(t: Tree) -> frozenset:
-    parent, children = tables_of(t)
+    return _descent_terminators(*tables_of(t))
+
+
+def _descent_terminators(parent, children):
     out = set()
     for v in parent:
         sibs = children[parent[v]]
@@ -532,7 +551,7 @@ def tree_stats(t: Tree) -> VertexStats:
     n >= 1 leaves + nodes + 1 equals the vertex count.
     """
     parent, children = tables_of(t)
-    dts = descent_terminators(t)
+    dts = _descent_terminators(parent, children)
     leaves = [v for v in parent if not children[v]]
     if not parent:
         leaves = [0]
@@ -540,9 +559,9 @@ def tree_stats(t: Tree) -> VertexStats:
     return VertexStats(
         leaves=len(leaves),
         nodes=len(nodes),
-        klazar_violators=klazar_violators(t),
-        bad=bad_vertices(t),
-        reverse_bad=reverse_bad_vertices(t),
+        klazar_violators=_klazar_violators(parent, children),
+        bad=_bad_scan(children, reverse=False),
+        reverse_bad=_bad_scan(children, reverse=True),
         non_dt_leaves=sum(1 for v in leaves if v not in dts),
         descent_terminators=dts,
     )

@@ -210,6 +210,12 @@ def test_round_trips_on_large_random_trees():
         assert violators_from_treecode(sigma(t)) == set(violator_partners(t).items())
 
 
+def test_Phi_routes_agree_on_a_wide_shallow_tree():
+    # 1,200 children of the root: one Python frame per edge would pass the default recursion limit
+    t = tree_from_text("0(%s)" % ",".join(map(str, range(1200, 0, -1))))
+    assert Phi_recursive(t) == Phi_explicit(t)
+
+
 # ---------------------------------------------------------------------------
 # the variant second-row map
 

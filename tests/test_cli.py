@@ -72,6 +72,18 @@ def test_map_Phi_text(monkeypatch, capsys):
     assert out == "1 4/2 3\n"
 
 
+def test_map_Phi_on_a_wide_shallow_tree(monkeypatch, capsys):
+    text = "0(%s)\n" % ",".join(map(str, range(1200, 0, -1)))
+    code, out, err = run(
+        ["map", "--which", "Phi", "--format", "text"],
+        stdin=text,
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 0, err
+    assert out.count("/") == 1199
+
+
 def test_map_Phi_json(monkeypatch, capsys):
     code, out, _ = run(
         ["map", "--which", "Phi"],

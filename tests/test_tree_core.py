@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -194,6 +195,23 @@ def test_tree_stats_is_selfconsistent():
             assert s.non_dt_leaves == len(leaf_set - dts)
 
 
+def test_tree_stats_matches_the_standalone_functions():
+    rng = random.Random(100)
+    large = [tree_from_word([rng.randint(1, 2 * k - 1) for k in range(1, 101)]) for _ in range(20)]
+    small = (t for n in range(7) for t in enumerate_increasing_trees(n))
+    for t in [*small, *large]:
+        s = tree_stats(t)
+        dts = descent_terminators(t)
+        _, children = tables_of(t)  # the root is a leaf only when n = 0
+        assert s.leaves == shape_leaves(shape_of(t))
+        assert s.nodes == sum(1 for v in children if v and children[v])
+        assert s.klazar_violators == klazar_violators(t)
+        assert s.bad == bad_vertices(t)
+        assert s.reverse_bad == reverse_bad_vertices(t)
+        assert s.descent_terminators == dts
+        assert s.non_dt_leaves == sum(1 for v in children if not children[v] and v not in dts)
+
+
 def test_root_only_tree_counts_one_leaf():
     s = tree_stats(tree_from_text("0"))
     assert s.leaves == 1 and s.nodes == 0
@@ -263,6 +281,15 @@ def test_H_bijects_compliers_onto_nonpartners():
             images = [H_map(t, v) for v in compliers]
             assert len(set(images)) == len(images)
             assert set(images) == set(range(1, n + 1)) - partners
+            # the chain walked through the whole partner-to-violator table
+            back = {w: u for u, w in violator_partners(t).items()}
+            for v, h in zip(compliers, images):
+                while v in back:
+                    v = back[v]
+                assert h == v
+            for v in violators:
+                with pytest.raises(ValueError):
+                    H_map(t, v)
 
 
 def test_prune_removes_the_top_label():
