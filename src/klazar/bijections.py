@@ -16,18 +16,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .codes import treecode_to_matchcode, validate_match_code, validate_tree_code
-from .matching_core import (
-    BOT,
-    EMPTY_MATCHING,
-    TOP,
-    DotRef,
-    Matching,
-    classify_edges,
-    enlarge,
-    prune_matching,
-    shift_S,
-    weak_downlines,
-)
+from .matching_core import Matching, _enlarge, _prune, _shift
 from .tree_core import (
     MarkedTree,
     Tree,
@@ -129,56 +118,56 @@ def _odd_pairs(code, letter):
 
 
 def tau(code) -> Matching:
-    """Build a matching where each enlargement consults current uplines."""
+    """Build a matching where each enlargement consults current uplines,
+    read off one growing partner list by _tau_target."""
     code = validate_match_code(code)
-    m = EMPTY_MATCHING
+    partner = [0]
     for k, (Y, i) in enumerate(code, start=1):
-        m = enlarge(m, _tau_target(m, Y, i, k))
-    return m
+        _enlarge(partner, _tau_target(partner, Y, i, k))
+    return Matching(tuple(partner))
 
 
-def _tau_target(m, Y, i, k):
-    ups = classify_edges(m).uplines
-    if Y == "T":
-        starts = dict(ups)
-        return DotRef(TOP, starts[i]) if i in starts else DotRef(BOT, i)
+def _tau_target(partner, Y, i, k):
+    """The dot number step k enlarges with.  (B,k) is the new pair.  If
+    bottom i starts an upline (partner[2i] odd and > 2i), (T,i) takes its
+    top partner[2i] and (B,i) bottom i itself.  Otherwise (T,i) takes
+    bottom i and (B,i) the first top of the upline chain into top i,
+    walked back while partner[2i-1] is even and < 2i-1."""
     if i == k:
-        return DotRef(BOT, k)
-    if any(b == i for b, _ in ups):
-        return DotRef(BOT, i)
-    # walk the upline chain ending at top i back to its first dot
-    ends = {t: b for b, t in ups}
-    j = i
-    while j in ends:
-        j = ends[j]
-    return DotRef(TOP, j)
+        return 2 * k
+    x = partner[2 * i]
+    if x % 2 and x > 2 * i:
+        return x if Y == "T" else 2 * i
+    if Y == "T":
+        return 2 * i
+    while partner[2 * i - 1] % 2 == 0 and partner[2 * i - 1] < 2 * i - 1:
+        i = partner[2 * i - 1] // 2
+    return 2 * i - 1
 
 
 def tau_inverse(m: Matching):
-    code = []
-    while m.n:
-        code.append(_tau_entry(m))
-        m, _ = prune_matching(m)
+    partner, code = list(m.partner), []
+    while len(partner) > 1:
+        code.append(_tau_entry(partner))
+        _prune(partner)
     code.reverse()
     return validate_match_code(code)
 
 
-def _tau_entry(m):
+def _tau_entry(partner):
     """One pruning record: the four-case table on the rows and positions
     of the partners of the two last dots, with the shift map S applied
     in the not-yet-pruned diagram."""
-    k = m.n
-    u = m.partner[2 * k - 1]
+    k = len(partner) // 2
+    u, w = partner[2 * k - 1], partner[2 * k]
     if u == 2 * k:
         return ("B", k)
-    du = DotRef.of_number(u)
-    dw = DotRef.of_number(m.partner[2 * k])
-    i, j = du.pos, dw.pos
-    if du.row == TOP:
-        if dw.row == TOP or i <= j:
-            return ("B", shift_S(m, i))
+    i, j = (u + 1) // 2, (w + 1) // 2
+    if u % 2:
+        if w % 2 or i <= j:
+            return ("B", _shift(partner, i))
         return ("T", j)
-    if dw.row == BOT or i >= j:
+    if w % 2 == 0 or i >= j:
         return ("T", i)
     return ("B", i)
 
@@ -206,9 +195,10 @@ def Phi_recursive(t: Tree) -> Matching:
     dot is (TOP, partner of j), read after k is removed.
 
     The tables are validated once and edited in place, with no Tree
-    built in between.  The route uses only F, H, partners and enlarge,
-    never sigma, tau or a code, so its agreement with Phi_explicit is
-    independent evidence that both are right.
+    built in between, and the dot numbers grow one partner list.  The
+    route uses only F, H, partners and enlarge, never sigma, tau or a
+    code, so its agreement with Phi_explicit is independent evidence
+    that both are right.
     """
     n = check_increasing_tree(t)
     parent, children = tables_of(t)
@@ -221,28 +211,28 @@ def Phi_recursive(t: Tree) -> Matching:
             complier = p != 0 and not _is_violator(parent, children, p)
             _remove_largest(parent, children, k)
             if p == 0:
-                dots.append(DotRef(BOT, k))
+                dots.append(2 * k)
             elif complier:
-                dots.append(DotRef(TOP, _H(parent, children, p)))
+                dots.append(2 * _H(parent, children, p) - 1)
             else:
-                dots.append(DotRef(BOT, p))
+                dots.append(2 * p)
             continue
         j = sibs[pos]
         if _is_violator(parent, children, j):
             if _assoc_in(children, sibs, j) != k:
                 apply_F_tables(parent, children)
             _remove_largest(parent, children, k)
-            dots.append(DotRef(BOT, j))
+            dots.append(2 * j)
             continue
         apply_F_tables(parent, children)
         _remove_largest(parent, children, k)
         if not _is_violator(parent, children, j):
             raise ValueError(f"{j} is not a Klazar violator")
-        dots.append(DotRef(TOP, _partner(parent, children, j)))
-    m = EMPTY_MATCHING
-    for d in reversed(dots):
-        m = enlarge(m, d)
-    return m
+        dots.append(2 * _partner(parent, children, j) - 1)
+    partner = [0]
+    for x in reversed(dots):
+        _enlarge(partner, x)
+    return Matching(tuple(partner))
 
 
 def Phi_explicit(t: Tree) -> Matching:
@@ -257,17 +247,15 @@ def Phi_explicit(t: Tree) -> Matching:
 
 def tau_variant(code) -> Matching:
     """Like tau, but a (B,i) entry with i < k uses top dot i when a weak
-    downline hangs from it, and otherwise the partner of top dot i."""
+    downline hangs from it, and otherwise the partner of top dot i.  A
+    weak downline hangs from top i iff partner[2i-1] is even and greater
+    than 2i-1, so each step reads one entry of the growing list."""
     code = validate_match_code(code)
-    m = EMPTY_MATCHING
+    partner = [0]
     for k, (Y, i) in enumerate(code, start=1):
-        if Y == "T":
-            d = _tau_target(m, Y, i, k)
-        elif i == k:
-            d = DotRef(BOT, k)
-        elif any(top == i for top, _ in weak_downlines(m)):
-            d = DotRef(TOP, i)
-        else:
-            d = DotRef.of_number(m.partner[2 * i - 1])
-        m = enlarge(m, d)
-    return m
+        if Y == "T" or i == k:
+            _enlarge(partner, _tau_target(partner, Y, i, k))
+            continue
+        x = partner[2 * i - 1]
+        _enlarge(partner, 2 * i - 1 if x % 2 == 0 and x > 2 * i - 1 else x)
+    return Matching(tuple(partner))

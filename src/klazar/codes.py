@@ -19,43 +19,41 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 
-from .matching_core import BOT, TOP, EMPTY_MATCHING, DotRef, Matching, enlarge, prune_matching
+from .matching_core import Matching, _enlarge, _prune
 from .tree_core import Tree, _insert, _remove_largest, tables_of, tree_from_tables
+
+
+def _validate_code(code, first, second, lo, kind):
+    """(first, lo) opens the code; at step k, first takes lo..lo+k-1 and
+    second takes 1..k-1.  Returns the code as a tuple."""
+    code = tuple((str(X), i) for X, i in code)
+    for k, (X, i) in enumerate(code, start=1):
+        if type(i) is not int:  # int() would read True as 1 and 1.9 as 1
+            raise ValueError(f"index {i!r} at step {k} is not an integer")
+        if X not in (first, second):
+            raise ValueError(f"bad letter {X!r} at step {k}")
+        if k == 1 and (X, i) != (first, lo):
+            raise ValueError(f"a {kind} code must start with ({first},{lo})")
+        if not (lo <= i <= lo + k - 1 if X == first else 1 <= i <= k - 1):
+            raise ValueError(f"({X},{i}) out of range at step {k}")
+    return code
 
 
 def validate_tree_code(code):
     """Check (X1,i1) = (R,0) and the step-k ranges; return the code as a tuple."""
-    code = tuple((str(X), int(i)) for X, i in code)
-    for k, (X, i) in enumerate(code, start=1):
-        if X not in ("R", "L"):
-            raise ValueError(f"bad letter {X!r} at step {k}")
-        if k == 1 and (X, i) != ("R", 0):
-            raise ValueError("a tree code must start with (R,0)")
-        if X == "R" and not 0 <= i <= k - 1:
-            raise ValueError(f"(R,{i}) out of range at step {k}")
-        if X == "L" and not 1 <= i <= k - 1:
-            raise ValueError(f"(L,{i}) out of range at step {k}")
-    return code
+    return _validate_code(code, "R", "L", 0, "tree")
 
 
 def validate_match_code(code):
     """Check (Y1,i1) = (B,1) and the step-k ranges; return the code as a tuple."""
-    code = tuple((str(Y), int(i)) for Y, i in code)
-    for k, (Y, i) in enumerate(code, start=1):
-        if Y not in ("B", "T"):
-            raise ValueError(f"bad letter {Y!r} at step {k}")
-        if k == 1 and (Y, i) != ("B", 1):
-            raise ValueError("a matching code must start with (B,1)")
-        if Y == "B" and not 1 <= i <= k:
-            raise ValueError(f"(B,{i}) out of range at step {k}")
-        if Y == "T" and not 1 <= i <= k - 1:
-            raise ValueError(f"(T,{i}) out of range at step {k}")
-    return code
+    return _validate_code(code, "B", "T", 1, "matching")
 
 
 def validate_word(word):
-    word = tuple(int(a) for a in word)
+    word = tuple(word)
     for k, a in enumerate(word, start=1):
+        if type(a) is not int:
+            raise ValueError(f"letter {a!r} at step {k} is not an integer")
         if not 1 <= a <= 2 * k - 1:
             raise ValueError(f"letter {a} out of [1, {2 * k - 1}] at step {k}")
     return word
@@ -83,18 +81,17 @@ def tree_to_code(t: Tree):
 
 
 def code_to_matching(code) -> Matching:
-    code = validate_match_code(code)
-    m = EMPTY_MATCHING
-    for Y, i in code:
-        m = enlarge(m, DotRef(BOT if Y == "B" else TOP, i))
-    return m
+    partner = [0]
+    for Y, i in validate_match_code(code):
+        _enlarge(partner, 2 * i if Y == "B" else 2 * i - 1)
+    return Matching(tuple(partner))
 
 
 def matching_to_code(m: Matching):
-    code = []
-    while m.n:
-        m, d = prune_matching(m)
-        code.append(("B" if d.row == BOT else "T", d.pos))
+    partner, code = list(m.partner), []
+    while len(partner) > 1:
+        x = _prune(partner)
+        code.append(("T", (x + 1) // 2) if x % 2 else ("B", x // 2))
     code.reverse()
     return validate_match_code(code)
 
@@ -114,14 +111,8 @@ def _swap_letters(code):
 
 
 def matchcode_to_treecode(code):
-    code = validate_match_code(code)
-    out = []
-    for k, (Y, i) in enumerate(code, start=1):
-        if Y == "B":
-            out.append(("R", 0 if i == k else i))
-        else:
-            out.append(("L", i))
-    return validate_tree_code(out)
+    return validate_tree_code(("R", 0 if i == k else i) if Y == "B" else ("L", i)
+                              for k, (Y, i) in enumerate(validate_match_code(code), start=1))
 
 
 def code_to_trapezoidal(code):

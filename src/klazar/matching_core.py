@@ -8,7 +8,11 @@ parity matches are arcs.  This module holds the diagram type, edge
 classification, the enlarge/prune elevator between sizes, the shift map
 S, the product decomposition of no-upline diagrams into arc matchings
 plus a Stirling and a power part, and the three-class split behind the
-size recurrence.
+size recurrence.  The elevator is one in-place kernel on a partner list
+(_enlarge, _prune), and the codings read each upline question off one
+entry of it: bottom b starts an upline iff partner[2b] is odd and > 2b;
+an upline ends at top i iff partner[2i-1] is even and < 2i-1; a weak
+downline hangs from top i iff partner[2i-1] is even and > 2i-1.
 """
 
 from __future__ import annotations
@@ -41,9 +45,10 @@ class DotRef:
 
     @staticmethod
     def from_json(obj) -> "DotRef":
-        if obj.get("row") not in (TOP, BOT):
-            raise ValueError(f"bad DotRef row: {obj!r}")
-        return DotRef(obj["row"], int(obj["pos"]))
+        if (not isinstance(obj, dict) or obj.get("row") not in (TOP, BOT)
+                or type(obj.get("pos")) is not int):
+            raise ValueError(f"bad DotRef: {obj!r}")
+        return DotRef(obj["row"], obj["pos"])
 
 
 @dataclass(frozen=True)
@@ -197,33 +202,41 @@ def enlarge(m: Matching, d: DotRef) -> Matching:
     and d's former partner joins the new bottom dot 2n.  Over the 2n-1
     legal dots this is a bijection onto size-n diagrams.
     """
-    n = m.n + 1
-    if d.row == BOT and d.pos == n:
-        return Matching(m.partner + (2 * n, 2 * n - 1))
-    x = d.number()
-    if not 1 <= x <= 2 * n - 2:
-        raise ValueError(f"dot {d} is not in the size-{n - 1} diagram")
-    y = m.partner[x]
-    partner = list(m.partner) + [0, 0]
-    partner[x] = 2 * n - 1
-    partner[2 * n - 1] = x
-    partner[y] = 2 * n
-    partner[2 * n] = y
+    partner = list(m.partner)
+    _enlarge(partner, d.number())
     return Matching(tuple(partner))
 
 
 def prune_matching(m: Matching):
     """Inverse of enlarge: returns (smaller diagram, the DotRef used)."""
-    n = m.n
-    if n == 0:
-        raise ValueError("cannot prune the empty diagram")
-    x = m.partner[2 * n - 1]
-    y = m.partner[2 * n]
-    if x == 2 * n:
-        return Matching(m.partner[: 2 * n - 1]), DotRef(BOT, n)
-    partner = list(m.partner[: 2 * n - 1])
-    partner[x], partner[y] = y, x
+    partner = list(m.partner)
+    x = _prune(partner)
     return Matching(tuple(partner)), DotRef.of_number(x)
+
+
+def _enlarge(partner, x):
+    """enlarge in place on a partner list, with the dot given by its number x."""
+    b = len(partner) + 1
+    if x == b:
+        partner += (b, b - 1)
+        return
+    if not 1 <= x <= b - 2:
+        raise ValueError(f"dot {DotRef.of_number(x)} is not in the size-{b // 2 - 1} diagram")
+    y = partner[x]
+    partner += (x, y)
+    partner[x], partner[y] = b - 1, b
+
+
+def _prune(partner):
+    """prune_matching in place on a partner list; returns the dot number used."""
+    b = len(partner) - 1
+    if b == 0:
+        raise ValueError("cannot prune the empty diagram")
+    x, y = partner[b - 1], partner[b]
+    del partner[b - 1:]
+    if x != b:
+        partner[x], partner[y] = y, x
+    return x
 
 
 def enumerate_matchings(n: int):
@@ -268,12 +281,18 @@ def enumerate_matchings(n: int):
 
 def shift_S(m: Matching, i: int) -> int:
     """Follow uplines from bottom position i; stop at the first position
-    that starts no upline."""
+    that starts no upline.  Bottom i starts one iff partner[2i] is odd
+    and greater than 2i, and it leads to top (partner[2i] + 1) / 2."""
     if not 1 <= i <= m.n:
         raise ValueError(f"position {i} out of range")
-    up = dict(classify_edges(m).uplines)
-    while i in up:
-        i = up[i]
+    return _shift(m.partner, i)
+
+
+def _shift(partner, i):
+    x = partner[2 * i]
+    while x % 2 and x > 2 * i:
+        i = (x + 1) // 2
+        x = partner[2 * i]
     return i
 
 

@@ -130,6 +130,56 @@ def bf_shift(pairs, i):
     return i
 
 
+def bf_enlarge(pairs, n, x):
+    """Grow size n - 1 pairs to size n with dot number x: x = 2n joins
+    the two new dots 2n - 1 and 2n; otherwise 2n - 1 joins x and the
+    former partner of x joins 2n."""
+    if x == 2 * n:
+        return set(pairs) | {(2 * n - 1, 2 * n)}
+    (y,) = [b if a == x else a for a, b in pairs if x in (a, b)]
+    return (set(pairs) - {(min(x, y), max(x, y))}) | {(x, 2 * n - 1), (y, 2 * n)}
+
+
+def _bf_tau_dot(pairs, Y, i, k):
+    """tau's dot for entry (Y, i) at step k, from the whole upline set:
+    (B,k) is the new pair; (T,i) the top where an upline from bottom i
+    ends, else bottom i; (B,i) bottom i when an upline starts there,
+    else the first top of the upline chain that ends at top i."""
+    starts = dict(bf_uplines(pairs))
+    ends = {t: b for b, t in starts.items()}
+    if Y == "T":
+        return 2 * starts[i] - 1 if i in starts else 2 * i
+    if i == k or i in starts:
+        return 2 * i
+    while i in ends:
+        i = ends[i]
+    return 2 * i - 1
+
+
+def bf_tau(code):
+    """tau on plain pairs, consulting every upline afresh at each step."""
+    pairs = set()
+    for k, (Y, i) in enumerate(code, start=1):
+        pairs = bf_enlarge(pairs, k, _bf_tau_dot(pairs, Y, i, k))
+    return pairs
+
+
+def bf_tau_variant(code):
+    """tau, except that (B,i) with i < k uses top dot i when a weak
+    downline hangs from it and otherwise the partner of top dot i."""
+    pairs = set()
+    for k, (Y, i) in enumerate(code, start=1):
+        if Y == "B" and i < k:
+            if any(t == i for t, _ in bf_weak_downlines(pairs)):
+                x = 2 * i - 1
+            else:
+                (x,) = [b if a == 2 * i - 1 else a for a, b in pairs if 2 * i - 1 in (a, b)]
+        else:
+            x = _bf_tau_dot(pairs, Y, i, k)
+        pairs = bf_enlarge(pairs, k, x)
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # trees (JSON form)
 

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,8 +19,17 @@ from klazar.bijections import (
     uplines_from_matchcode,
     violators_from_treecode,
 )
-from klazar.codes import code_to_tree, enumerate_match_codes, enumerate_tree_codes, tree_to_code
-from klazar.matching_core import Matching, enumerate_matchings, matching_from_text, uplines
+from klazar.codes import (
+    code_to_matching,
+    code_to_tree,
+    enumerate_match_codes,
+    enumerate_tree_codes,
+    matching_to_code,
+    trapezoidal_to_code,
+    tree_to_code,
+    treecode_to_matchcode,
+)
+from klazar.matching_core import Matching, enumerate_matchings, matching_from_text, shift_S, uplines
 from klazar.tree_core import (
     MarkedTree,
     enumerate_increasing_trees,
@@ -38,9 +48,22 @@ def words(draw, max_n=7):
 
 
 def tree_of(w):
-    from klazar.codes import code_to_tree, trapezoidal_to_code
-
     return code_to_tree(trapezoidal_to_code(w))
+
+
+def random_match_code(rng, n):
+    """The matching code of a uniform trapezoidal word of length n."""
+    return treecode_to_matchcode(trapezoidal_to_code([rng.randint(1, 2 * k - 1) for k in range(1, n + 1)]))
+
+
+def parity_statistics(c, m):
+    """((T letters, B letters) of odd multiplicity in c,
+    (even-to-odd pairs, odd-to-even pairs) of m)."""
+    t_odd = sum(1 for i, k in Counter(i for Y, i in c if Y == "T").items() if k % 2)
+    b_odd = sum(1 for i, k in Counter(i for Y, i in c if Y == "B").items() if k % 2)
+    e2o = sum(1 for a, b_ in m.pairs() if a % 2 == 0 and b_ % 2 == 1)
+    o2e = sum(1 for a, b_ in m.pairs() if a % 2 == 1 and b_ % 2 == 0)
+    return (t_odd, b_odd), (e2o, o2e)
 
 
 def marked_universe(n):
@@ -152,8 +175,6 @@ def test_tau_roundtrip_exhaustive():
 
 @given(words())
 def test_tau_roundtrip_random(w):
-    from klazar.codes import trapezoidal_to_code, treecode_to_matchcode
-
     c = treecode_to_matchcode(trapezoidal_to_code(w))
     assert tau_inverse(tau(c)) == c
 
@@ -162,6 +183,32 @@ def test_upline_reading_of_codes():
     for n in range(5):
         for c in enumerate_match_codes(n):
             assert uplines_from_matchcode(c) == set(uplines(tau(c)))
+
+
+def test_tau_and_tau_variant_agree_with_the_oracle():
+    # the oracle enlarges plain pairs and recomputes every upline and weak
+    # downline at each step: every code up to n = 6, then 20 seeded at n = 80
+    rng = random.Random(80)
+    small = (c for n in range(7) for c in enumerate_match_codes(n))
+    for c in chain(small, (random_match_code(rng, 80) for _ in range(20))):
+        want = bf.bf_tau(c)
+        assert set(tau(c).pairs()) == want
+        assert tau_inverse(Matching.from_pairs(want, n=len(c))) == c
+        assert set(tau_variant(c).pairs()) == bf.bf_tau_variant(c)
+
+
+def test_matching_maps_at_n500():
+    rng = random.Random(500)
+    for _ in range(20):
+        c = random_match_code(rng, 500)
+        m = tau(c)
+        assert tau_inverse(m) == c
+        assert set(uplines(m)) == uplines_from_matchcode(c)
+        code_stats, matching_stats = parity_statistics(c, tau_variant(c))
+        assert code_stats == matching_stats
+        assert matching_to_code(code_to_matching(c)) == c
+    pairs = m.pairs()
+    assert all(shift_S(m, i) == bf.bf_shift(pairs, i) for i in range(1, 501))
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +287,7 @@ def test_tau_variant_is_a_bijection():
 def test_tau_variant_transfers_parity_statistics():
     # T letters with odd multiplicity count the even-to-odd pairs,
     # B letters with odd multiplicity the odd-to-even pairs
-    from collections import Counter
-
     for n in range(5):
         for c in enumerate_match_codes(n):
-            m = tau_variant(c)
-            t_odd = sum(1 for i, k in Counter(i for Y, i in c if Y == "T").items() if k % 2)
-            b_odd = sum(1 for i, k in Counter(i for Y, i in c if Y == "B").items() if k % 2)
-            e2o = sum(1 for a, b_ in m.pairs() if a % 2 == 0 and b_ % 2 == 1)
-            o2e = sum(1 for a, b_ in m.pairs() if a % 2 == 1 and b_ % 2 == 0)
-            assert (t_odd, b_odd) == (e2o, o2e)
+            code_stats, matching_stats = parity_statistics(c, tau_variant(c))
+            assert code_stats == matching_stats

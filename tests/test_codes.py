@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 import bruteforce as bf
 from klazar import codes
+from klazar.bijections import tau
 from klazar.codes import (
     code_from_text,
     code_to_matching,
@@ -73,6 +74,23 @@ def test_match_code_ranges():
         validate_match_code([("B", 1), ("T", 2)])  # T caps at k-1
     with pytest.raises(ValueError):
         validate_match_code([("B", 1), ("B", 3)])  # B caps at k
+
+
+@pytest.mark.parametrize("index", [1.9, 1.0, True, "1"])
+def test_validators_refuse_an_index_that_is_not_an_int(index):
+    # int() would read 1.9 and True as 1, so tau would build a wrong diagram
+    with pytest.raises(ValueError):
+        validate_match_code([("B", index)])
+    with pytest.raises(ValueError):
+        validate_match_code([("B", 1), ("T", index)])
+    with pytest.raises(ValueError):
+        validate_tree_code([("R", 0), ("L", index)])
+    with pytest.raises(ValueError):
+        validate_word([index])
+    with pytest.raises(ValueError):
+        tau([("B", 1.9), ("T", 1.2)])
+    with pytest.raises(ValueError):
+        code_to_matching([("B", True)])
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,16 @@ def test_dotref_numbering():
         assert DotRef.of_number(x).number() == x
 
 
+@pytest.mark.parametrize("obj", [
+    None, [], "top", {"pos": 1}, {"row": "mid", "pos": 1}, {"row": "top"},
+    {"row": "top", "pos": True}, {"row": "bot", "pos": "3"}, {"row": "top", "pos": 2.7},
+])
+def test_dotref_from_json_rejects_bad_input(obj):
+    assert DotRef.from_json({"row": "bot", "pos": 3}) == DotRef("bot", 3)
+    with pytest.raises(ValueError):
+        DotRef.from_json(obj)
+
+
 def test_text_roundtrip():
     for s in ["1 2", "1 4/2 3", "1 3/2 10/4 7/5 9/6 8"]:
         m = matching_from_text(s)
