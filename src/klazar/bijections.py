@@ -21,19 +21,19 @@ from .tree_core import (
     MarkedTree,
     Tree,
     _H,
-    _assoc_in,
+    _assoc_at,
     _children_to_cohort,
     _cohort_to_children,
     _insert,
     _is_violator,
+    _klazar_violators,
     _partner,
     _remove_largest,
+    _tables,
+    _tree_of,
     apply_F_tables,
     check_increasing_tree,
     check_marked_tree,
-    klazar_violators,
-    tables_of,
-    tree_from_tables,
 )
 
 
@@ -50,13 +50,12 @@ def phi(mt: MarkedTree) -> Tree:
     violator set of the result is exactly the original mark set.
     """
     check_marked_tree(mt)
-    parent, children = tables_of(mt.tree)
+    parent, children = _tables(mt.tree)
     for u in sorted(mt.marked, reverse=True):
         assert children[u], "marks are interior vertices"
         _children_to_cohort(parent, children, u)
-    out = tree_from_tables(children)
-    assert set(klazar_violators(out)) == set(mt.marked)
-    return out
+    assert set(_klazar_violators(children)) == set(mt.marked)
+    return _tree_of(children)
 
 
 def phi_inverse(t: Tree) -> MarkedTree:
@@ -64,11 +63,11 @@ def phi_inverse(t: Tree) -> MarkedTree:
     of the big cohort left of v) back to its own child list; the
     violators become the marks.  Processed in increasing order."""
     check_increasing_tree(t)
-    parent, children = tables_of(t)
-    marks = klazar_violators(t)
+    parent, children = _tables(t)
+    marks = _klazar_violators(children)
     for u in marks:
         _cohort_to_children(parent, children, u)
-    mt = MarkedTree(tree_from_tables(children), frozenset(marks))
+    mt = MarkedTree(_tree_of(children), frozenset(marks))
     check_marked_tree(mt)
     return mt
 
@@ -80,7 +79,7 @@ def phi_inverse(t: Tree) -> MarkedTree:
 def sigma(t: Tree):
     """Code t by deleting n, n-1, ..., 1, applying F before each record."""
     n = check_increasing_tree(t)
-    parent, children = tables_of(t)
+    parent, children = _tables(t)
     code = []
     for k in range(n, 0, -1):
         apply_F_tables(parent, children)
@@ -92,12 +91,11 @@ def sigma(t: Tree):
 def sigma_inverse(code) -> Tree:
     """Rebuild from a code, applying F after every insertion."""
     code = validate_tree_code(code)
-    parent = {}
-    children = {0: []}
+    parent, children = [None], [()]
     for k, (X, i) in enumerate(code, start=1):
         _insert(parent, children, k, X, i)
         apply_F_tables(parent, children)
-    return tree_from_tables(children)
+    return _tree_of(children)
 
 
 def violators_from_treecode(code):
@@ -201,7 +199,7 @@ def Phi_recursive(t: Tree) -> Matching:
     that both are right.
     """
     n = check_increasing_tree(t)
-    parent, children = tables_of(t)
+    parent, children = _tables(t)
     dots = []
     for k in range(n, 0, -1):
         p = parent[k]
@@ -219,7 +217,7 @@ def Phi_recursive(t: Tree) -> Matching:
             continue
         j = sibs[pos]
         if _is_violator(parent, children, j):
-            if _assoc_in(children, sibs, j) != k:
+            if _assoc_at(sibs, pos) != k:
                 apply_F_tables(parent, children)
             _remove_largest(parent, children, k)
             dots.append(2 * j)

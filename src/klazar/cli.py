@@ -47,17 +47,24 @@ def _fail(msg: str):
 # object parsing (type-directed: each command knows what it expects)
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read; use the text form") from None
+
+
 def _parse_tree(text: str) -> Tree:
     text = text.strip()
     if text.startswith("{"):
-        return tree_core.tree_from_json(json.loads(text))
+        return tree_core.tree_from_json(_load_json(text))
     return tree_core.tree_from_text(text)
 
 
 def _parse_marked_tree(text: str) -> MarkedTree:
     text = text.strip()
     if text.startswith("{"):
-        obj = json.loads(text)
+        obj = _load_json(text)
         tree = tree_core.tree_from_json(obj)
         marks = obj.get("marked", [])
         if not isinstance(marks, list) or not all(type(x) is int for x in marks):
@@ -71,21 +78,21 @@ def _parse_marked_tree(text: str) -> MarkedTree:
 def _parse_matching(text: str) -> Matching:
     text = text.strip()
     if text.startswith("{"):
-        return matching_core.Matching.from_json(json.loads(text))
+        return matching_core.Matching.from_json(_load_json(text))
     return matching_core.matching_from_text(text)
 
 
 def _parse_code(text: str):
     text = text.strip()
     if text.startswith("["):
-        return codes.code_from_json(json.loads(text))
+        return codes.code_from_json(_load_json(text))
     return codes.code_from_text(text)
 
 
 def _parse_word_or_code(text: str):
     text = text.strip()
     if text.startswith("["):
-        obj = json.loads(text)
+        obj = _load_json(text)
         if obj and isinstance(obj[0], list):
             return codes.code_from_json(obj)
         return codes.word_from_json(obj)
@@ -94,10 +101,18 @@ def _parse_word_or_code(text: str):
     return codes.word_from_text(text)
 
 
-def _marked_tree_json(mt: MarkedTree) -> dict:
-    obj = tree_core.tree_to_json(mt.tree)
-    obj["marked"] = sorted(mt.marked)
-    return obj
+def _tree_json_text(t: Tree, marked=None) -> str:
+    """json.dumps of tree_to_json(t), plus "marked" when given, written
+    by a loop so that no depth is too deep for it."""
+    out, prev = [], 0
+    for v, d in tree_core._preorder(t):
+        if out:
+            out.append("" if d > prev else "]}" * (prev - d + 1) + ", ")
+        out.append(f'{{"label": {v}, "children": [')
+        prev = d
+    out.append("]}" * prev + "]")
+    out.append("}" if marked is None else f', "marked": {json.dumps(sorted(marked))}}}')
+    return "".join(out)
 
 
 def _marked_tree_text(mt: MarkedTree) -> str:
@@ -110,9 +125,9 @@ def _marked_tree_text(mt: MarkedTree) -> str:
 def _emit(obj, fmt: str):
     """Render one library object in the requested format."""
     if isinstance(obj, Tree):
-        print(json.dumps(tree_core.tree_to_json(obj)) if fmt == "json" else tree_core.tree_to_text(obj))
+        print(_tree_json_text(obj) if fmt == "json" else tree_core.tree_to_text(obj))
     elif isinstance(obj, MarkedTree):
-        print(json.dumps(_marked_tree_json(obj)) if fmt == "json" else _marked_tree_text(obj))
+        print(_tree_json_text(obj.tree, obj.marked) if fmt == "json" else _marked_tree_text(obj))
     elif isinstance(obj, Matching):
         print(json.dumps(obj.to_json()) if fmt == "json" else matching_core.matching_to_text(obj))
     elif isinstance(obj, tuple) and obj and isinstance(obj[0], tuple) and len(obj[0]) == 2 and isinstance(obj[0][0], str):
@@ -299,8 +314,7 @@ ROW6_DERIVED = [32, 1328, 5168, 3508, 358, 1]
 
 
 def _interior(t: Tree):
-    _, ch = tree_core.tables_of(t)
-    return [v for v in ch if v != 0 and ch[v]]
+    return [v for v in range(1, len(t.kids)) if t.kids[v]]
 
 
 def check_eq1(max_n):
@@ -781,38 +795,20 @@ def cmd_series(args) -> int:
 
 
 def _draw_tree_ascii(t: Tree) -> str:
-    lines = []
-
-    def walk(v: Tree, depth: int):
-        lines.append("  " * depth + str(v.label))
-        for c in v.children:
-            walk(c, depth + 1)
-
-    walk(t, 0)
-    return "\n".join(lines)
+    return "\n".join("  " * depth + str(v) for v, depth in tree_core._preorder(t))
 
 
 def _draw_tree_svg(t: Tree) -> str:
-    pos = {}
-    order = []
-
-    def walk(v: Tree, depth: int):
-        pos[v.label] = (len(order) * 40 + 20, depth * 50 + 20)
-        order.append(v.label)
-        for c in v.children:
-            walk(c, depth + 1)
-
-    walk(t, 0)
-    parent, _ = tree_core.tables_of(t)
-    width = len(order) * 40
+    pos = {v: (i * 40 + 20, depth * 50 + 20) for i, (v, depth) in enumerate(tree_core._preorder(t))}
+    parent = tree_core._parents(t.kids)
+    width = len(pos) * 40
     height = (max(y for _, y in pos.values()) + 40)
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
-    for v in sorted(parent):
+    for v in range(1, len(parent)):
         x1, y1 = pos[parent[v]]
         x2, y2 = pos[v]
         out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#444"/>')
-    for v in order:
-        x, y = pos[v]
+    for v, (x, y) in pos.items():
         out.append(f'<circle cx="{x}" cy="{y}" r="9" fill="#fff" stroke="#000"/>')
         out.append(f'<text x="{x}" y="{y + 4}" font-size="10" text-anchor="middle">{v}</text>')
     out.append("</svg>")
@@ -895,7 +891,7 @@ def cmd_draw(args) -> int:
     text = sys.stdin.read().strip()
     obj = None
     if text.startswith("{"):
-        parsed = json.loads(text)
+        parsed = _load_json(text)
         obj = Matching.from_json(parsed) if "pairs" in parsed else tree_core.tree_from_json(parsed)
     elif text.startswith("0"):
         obj = tree_core.tree_from_text(text)

@@ -20,7 +20,7 @@ from collections import Counter
 from itertools import product
 
 from .matching_core import Matching, _enlarge, _prune
-from .tree_core import Tree, _insert, _remove_largest, tables_of, tree_from_tables
+from .tree_core import Tree, _insert, _remove_largest, _tree_of, tables_of
 
 
 def _validate_code(code, first, second, lo, kind):
@@ -65,11 +65,10 @@ def validate_word(word):
 
 def code_to_tree(code) -> Tree:
     code = validate_tree_code(code)
-    parent = {}
-    children = {0: []}
+    parent, children = [None], [()]
     for k, (X, i) in enumerate(code, start=1):
         _insert(parent, children, k, X, i)
-    return tree_from_tables(children)
+    return _tree_of(children)
 
 
 def tree_to_code(t: Tree):

@@ -31,6 +31,10 @@ class DotRef:
     row: str
     pos: int
 
+    def __post_init__(self):
+        if self.row not in (TOP, BOT):
+            raise ValueError(f"bad DotRef row {self.row!r}")
+
     def number(self) -> int:
         return 2 * self.pos - 1 if self.row == TOP else 2 * self.pos
 
@@ -181,7 +185,10 @@ def classify_edges(m: Matching) -> EdgeClasses:
 
 
 def uplines(m: Matching) -> frozenset:
-    return classify_edges(m).uplines
+    """(bottom pos, top pos) of every upline: bottom b starts one iff
+    partner[2b] is odd and > 2b."""
+    p = m.partner
+    return frozenset((x // 2, (p[x] + 1) // 2) for x in range(2, len(p), 2) if p[x] % 2 and p[x] > x)
 
 
 def weak_downlines(m: Matching) -> frozenset:
@@ -549,7 +556,7 @@ def compose_no_upline(even_pm: Matching, odd_pm: Matching,
     pairs += [(A[a - 1], A[b - 1]) for a, b in even_pm.pairs()]
     pairs += [(B[a - 1], B[b - 1]) for a, b in odd_pm.pairs()]
     out = Matching.from_pairs(pairs, n=n)
-    assert not classify_edges(out).uplines
+    assert not uplines(out)
     return out
 
 
@@ -565,7 +572,7 @@ def recurrence_class(m: Matching) -> int:
     Class 3: the rest.  Comparisons are between the matched numbers in
     [2n], not row positions.
     """
-    if classify_edges(m).uplines:
+    if uplines(m):
         raise ValueError("recurrence classes are for no-upline diagrams")
     n = m.n
     if n < 1:

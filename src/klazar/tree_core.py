@@ -7,6 +7,10 @@ the canonical enumeration, the sibling-based vertex statistics (cohort,
 big cohort, associate, violators, bad vertices), and the tree-side
 auxiliary maps F, H, pi and prune.
 
+A tree is stored as its label-indexed child table, Tree.kids.  The
+statistics read it directly, the maps edit a list copy of it, and every
+walk is a loop, so no tree size is limited by Python's recursion depth.
+
 Text notation used throughout: root label followed by a parenthesised
 child list, e.g. 0(1(3,6(11),9,4(10,5),2(8)),7).
 """
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 # Sentinel for "associate of a vertex with empty big cohort".  It must
 # compare above every label and satisfy INFINITY >= INFINITY; a float
@@ -24,12 +28,37 @@ from itertools import combinations
 INFINITY = math.inf
 
 
-@dataclass(frozen=True)
 class Tree:
-    """A rooted ordered tree; children is a tuple of subtrees."""
+    """A rooted ordered tree: kids[v] is the tuple of v's children in
+    sibling order, for v = 0..n, and the root is 0.  Treat it as
+    immutable; it is hashable and compared by its table.
 
-    label: int
-    children: tuple["Tree", ...] = ()
+    Tree(label, children), e.g. Tree(0, (Tree(2, ()), Tree(1, ()))) for
+    0(2,1), is the nested input form.  It merges the children's tables
+    (a copy per call, so parse text or JSON for a large tree) and keeps
+    a subtree's root in `label`, 0 otherwise.  It validates nothing:
+    check_increasing_tree reports repeated, missing or decreasing labels.
+    """
+
+    __slots__ = ("kids", "label")
+
+    def __init__(self, label: int, children=()):
+        children = tuple(children)
+        table = [()] * max([label + 1, *(len(c.kids) for c in children)])
+        for c in children:
+            for v, ks in enumerate(c.kids):
+                if ks:
+                    table[v] += ks
+        table[label] += tuple(c.label for c in children)
+        self.kids, self.label = tuple(table), label
+
+    def __eq__(self, other):
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return self.kids == other.kids and self.label == other.label
+
+    def __hash__(self):
+        return hash(self.kids)
 
     def __repr__(self):
         return f"Tree.parse({tree_to_text(self)!r})"
@@ -37,6 +66,18 @@ class Tree:
     @staticmethod
     def parse(text: str) -> "Tree":
         return tree_from_text(text)
+
+
+def _tree(kids, label=0) -> Tree:
+    """The Tree whose child table is kids (a tuple of tuples), unchecked."""
+    t = object.__new__(Tree)
+    t.kids, t.label = kids, label
+    return t
+
+
+def _tree_of(children) -> Tree:
+    """Freeze a list of child tuples indexed by label 0..n."""
+    return _tree(tuple(children))
 
 
 @dataclass(frozen=True)
@@ -55,142 +96,201 @@ class MarkedTree:
 # text / JSON forms
 
 
+def _preorder(t: Tree):
+    """Yield (label, depth) for every vertex of t in preorder."""
+    kids, budget = t.kids, len(t.kids)
+    stack = [(t.label, 0)]
+    while stack:
+        v, d = stack.pop()
+        budget -= 1
+        if budget < 0:  # only a malformed nested input can get here
+            raise ValueError("the child table does not describe a tree")
+        yield v, d
+        stack.extend((c, d + 1) for c in reversed(kids[v]))
+
+
 def tree_to_text(t: Tree) -> str:
-    if not t.children:
-        return str(t.label)
-    return f"{t.label}({','.join(tree_to_text(c) for c in t.children)})"
+    out, prev = [], 0
+    for v, d in _preorder(t):
+        if out:
+            out.append("(" if d > prev else ")" * (prev - d) + ",")
+        out.append(str(v))
+        prev = d
+    out.append(")" * prev)
+    return "".join(out)
 
 
 def tree_from_text(text: str) -> Tree:
     """Parse the parenthesised notation, e.g. '0(2(5),3,1(4,7,6))'."""
-    pos = 0
-
-    def parse_node():
-        nonlocal pos
+    pos, end = 0, len(text)
+    root, edges, open_ = None, [], []  # open_: labels whose child list is being read
+    while True:
         start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < end and text[pos].isdigit():
             pos += 1
         if pos == start:
             raise ValueError(f"expected a label at offset {pos} in {text!r}")
         label = int(text[start:pos])
-        kids = []
-        if pos < len(text) and text[pos] == "(":
+        if open_:
+            edges.append((open_[-1], label))
+        else:
+            root = label
+        if pos < end and text[pos] == "(":
             pos += 1
-            while True:
-                kids.append(parse_node())
-                if pos >= len(text):
-                    raise ValueError(f"unclosed '(' in {text!r}")
-                if text[pos] == ",":
-                    pos += 1
-                    continue
-                if text[pos] == ")":
-                    pos += 1
-                    break
+            open_.append(label)
+            continue
+        while open_:  # after a node: a comma opens its next sibling, ')' closes a list
+            if pos >= end:
+                raise ValueError(f"unclosed '(' in {text!r}")
+            if text[pos] == ",":
+                pos += 1
+                break
+            if text[pos] != ")":
                 raise ValueError(f"unexpected {text[pos]!r} at offset {pos}")
-        return Tree(label, tuple(kids))
-
-    t = parse_node()
+            pos += 1
+            open_.pop()
+        else:
+            break
     if pos != len(text.strip()):
         raise ValueError(f"trailing input at offset {pos} in {text!r}")
-    return t
+    return _tree_from_edges(root, edges)
 
 
 def tree_to_json(t: Tree) -> dict:
-    return {"label": t.label, "children": [tree_to_json(c) for c in t.children]}
+    path = []  # the open node at each depth
+    for v, d in _preorder(t):
+        node = {"label": v, "children": []}
+        del path[d:]
+        if path:
+            path[-1]["children"].append(node)
+        path.append(node)
+    return path[0]
 
 
 def tree_from_json(obj) -> Tree:
-    if not isinstance(obj, dict) or "label" not in obj:
-        raise ValueError("tree JSON must be an object with 'label'")
-    label, kids = obj["label"], obj.get("children", [])
-    if type(label) is not int:
-        raise ValueError(f"tree JSON 'label' must be an integer, got {label!r}")
-    if not isinstance(kids, list):
-        raise ValueError(f"tree JSON 'children' must be a list, got {kids!r}")
-    return Tree(label, tuple(tree_from_json(c) for c in kids))
+    root, edges = None, []
+    stack = [(None, obj)]
+    while stack:
+        p, node = stack.pop()
+        if not isinstance(node, dict) or "label" not in node:
+            raise ValueError("tree JSON must be an object with 'label'")
+        label, kids = node["label"], node.get("children", [])
+        if type(label) is not int:
+            raise ValueError(f"tree JSON 'label' must be an integer, got {label!r}")
+        if not isinstance(kids, list):
+            raise ValueError(f"tree JSON 'children' must be a list, got {kids!r}")
+        if p is None:
+            root = label
+        else:
+            edges.append((p, label))
+        stack.extend((label, c) for c in reversed(kids))
+    return _tree_from_edges(root, edges)
+
+
+def _tree_from_edges(root, edges) -> Tree:
+    """The Tree with this root and these (parent, child) edges, listed in
+    preorder.  The labels must be 0..n, each once, with root 0, since the
+    child table has room for nothing else; increasing is not checked."""
+    n = len(edges)
+    if root != 0:
+        raise ValueError(f"root label must be 0, got {root}")
+    children = [[] for _ in range(n + 1)]
+    placed = [True] + [False] * n
+    for p, c in edges:
+        if not 0 < c <= n or placed[c]:
+            labels = sorted([root, *(c for _, c in edges)])
+            raise ValueError(f"labels are not exactly 0..{n}: {labels}")
+        placed[c] = True
+        children[p].append(c)
+    return _tree(tuple(map(tuple, children)))
 
 
 def check_increasing_tree(t: Tree) -> int:
-    """Validate labels {0..n} each once, root 0, child > parent; return n."""
-    labels = []
-
-    def walk(node, parent_label):
-        if parent_label is not None and node.label <= parent_label:
-            raise ValueError(
-                f"child {node.label} does not exceed parent {parent_label}"
-            )
-        labels.append(node.label)
-        for c in node.children:
-            walk(c, node.label)
-
-    walk(t, None)
+    """Validate labels {0..n} each once, root 0, child > parent; return n.
+    One pass: every label 1..n is the child of exactly one smaller label."""
+    kids = t.kids
+    n = len(kids) - 1
+    for v, ks in enumerate(kids):
+        if ks and min(ks) <= v:
+            raise ValueError(f"child {min(ks)} does not exceed parent {v}")
     if t.label != 0:
         raise ValueError(f"root label must be 0, got {t.label}")
-    n = len(labels) - 1
-    if sorted(labels) != list(range(n + 1)):
-        raise ValueError(f"labels are not exactly 0..{n}: {sorted(labels)}")
+    labels = set(chain.from_iterable(kids))
+    if len(labels) != n or sum(map(len, kids)) != n or max(labels, default=0) > n:
+        raise ValueError(f"labels are not exactly 0..{n}")
     return n
 
 
 def check_marked_tree(mt: MarkedTree) -> int:
     n = check_increasing_tree(mt.tree)
-    parent, children = tables_of(mt.tree)
-    if _klazar_violators(parent, children):
+    kids = mt.tree.kids
+    if _klazar_violators(kids):
         raise ValueError("marked tree must be violator-free")
     for u in mt.marked:
-        if u not in children:
+        if not (isinstance(u, int) and 0 <= u <= n):
             raise ValueError(f"marked label {u} not in tree")
-        if u == 0 or not children[u]:
+        if u == 0 or not kids[u]:
             raise ValueError(f"marked vertex {u} is not a node")
     return n
 
 
 # ---------------------------------------------------------------------------
-# label-indexed tables: the workhorse form for everything sibling-based
+# tables: the maps edit a list of child tuples (a thawed kids) and a parent list
+
+
+def _parents(kids):
+    """parent[v] for every label v of a child table; parent[0] is None."""
+    parent = [None] * len(kids)
+    for v, ks in enumerate(kids):
+        for c in ks:
+            parent[c] = v
+    return parent
+
+
+def _tables(t: Tree):
+    return _parents(t.kids), list(t.kids)
 
 
 def tables_of(t: Tree):
-    """Return (parent, children) dicts; children values are fresh lists."""
-    parent = {}
-    children = {}
-
-    def walk(node):
-        children[node.label] = [c.label for c in node.children]
-        for c in node.children:
-            parent[c.label] = node.label
-            walk(c)
-
-    walk(t)
-    return parent, children
+    """Return (parent, children) dicts keyed by label, in label order;
+    children values are fresh lists."""
+    parent = dict(enumerate(_parents(t.kids)))
+    del parent[0]
+    return parent, dict(enumerate(map(list, t.kids)))
 
 
 def tree_from_tables(children, root=0) -> Tree:
-    def freeze(v):
-        return Tree(v, tuple(freeze(c) for c in children[v]))
+    """The tree below root of a children table (a dict or list by label)."""
+    kids, stack = {}, [root]
+    while stack:
+        v = stack.pop()
+        kids[v] = tuple(children[v])
+        stack.extend(c for c in kids[v] if c not in kids)
+    return _tree(tuple(kids.get(v, ()) for v in range(max(kids) + 1)), root)
 
-    return freeze(root)
 
-
-def _require_vertex(children, v, allow_root=False):
-    if v not in children:
+def _require_vertex(children, v):
+    if not (isinstance(v, int) and 0 <= v < len(children)):
         raise ValueError(f"no vertex labelled {v}")
-    if v == 0 and not allow_root:
+    if v == 0:
         raise ValueError("the root has no siblings")
 
 
 # The tree-editing steps shared by enumeration, codes, sigma, phi and F.
+# They rebind the sibling sequences they change; all but _insert work on
+# the dict of lists from tables_of as well.
 
 
 def _insert(parent, children, k, X, i):
-    """Insert leaf k by build-code entry (X, i) and return (sibs, pos);
-    deleting sibs[pos], children[k] and parent[k] undoes it."""
+    """Insert leaf k = len(children) by build-code entry (X, i); return
+    (p, sibs) so that children[p] = sibs and popping both undoes it."""
     p = i if X == "R" else parent[i]
     sibs = children[p]
     pos = len(sibs) if X == "R" else sibs.index(i)
-    sibs.insert(pos, k)
-    parent[k] = p
-    children[k] = []
-    return sibs, pos
+    children[p] = sibs[:pos] + (k,) + sibs[pos:]
+    parent.append(p)
+    children.append(())
+    return p, sibs
 
 
 def _remove_largest(parent, children, k):
@@ -199,8 +299,8 @@ def _remove_largest(parent, children, k):
     del children[k]
     sibs = children[p]
     pos = sibs.index(k)
-    del sibs[pos]
-    return ("L", sibs[pos]) if pos < len(sibs) else ("R", p)
+    children[p] = sibs[:pos] + sibs[pos + 1:]
+    return ("L", sibs[pos + 1]) if pos + 1 < len(sibs) else ("R", p)
 
 
 def _big_cohort_start(sibs, pos):
@@ -214,15 +314,15 @@ def _big_cohort_start(sibs, pos):
 def _cohort_to_children(parent, children, u):
     """Move u's big cohort, up to and including its smallest entry, to
     the front of u's child list: F on a violator, one step of phi^-1."""
-    sibs = children[parent[u]]
+    p = parent[u]
+    sibs = children[p]
     upos = sibs.index(u)
     start = _big_cohort_start(sibs, upos)
     assert start < upos, "violators have a nonempty big cohort"
     end = sibs.index(min(sibs[start:upos]), start) + 1
-    moved = sibs[start:end]
-    del sibs[start:end]
-    children[u][:0] = moved
-    for w in moved:
+    children[p] = sibs[:start] + sibs[end:]
+    children[u] = sibs[start:end] + children[u]
+    for w in sibs[start:end]:
         parent[w] = u
 
 
@@ -231,13 +331,12 @@ def _children_to_cohort(parent, children, u):
     left of u's big cohort: F on a complier, one step of phi."""
     kids = children[u]
     end = kids.index(min(kids)) + 1
-    moved = kids[:end]
-    del kids[:end]
+    children[u] = kids[end:]
     p = parent[u]
     sibs = children[p]
     start = _big_cohort_start(sibs, sibs.index(u))
-    sibs[start:start] = moved
-    for w in moved:
+    children[p] = sibs[:start] + kids[:end] + sibs[start:]
+    for w in kids[:end]:
         parent[w] = p
 
 
@@ -256,17 +355,21 @@ def enumerate_increasing_trees(n: int):
     """
     if n < 0:
         raise ValueError("edge count must be nonnegative")
-    parent = {}
-    children = {0: []}
+    if n == 0:
+        yield _tree(((),))
+        return
+    parent, children = [None], [()]
 
     def rec(k):
-        if k > n:
-            yield tree_from_tables(children)
-            return
         for a in range(1, 2 * k):
-            sibs, pos = _insert(parent, children, k, "R" if a % 2 else "L", a // 2)
-            yield from rec(k + 1)
-            del sibs[pos], children[k], parent[k]
+            p, sibs = _insert(parent, children, k, "R" if a % 2 else "L", a // 2)
+            if k < n:
+                yield from rec(k + 1)
+            else:
+                yield _tree(tuple(children))
+            children[p] = sibs
+            children.pop()
+            parent.pop()
 
     yield from rec(1)
 
@@ -283,7 +386,10 @@ def enumerate_shapes(n: int):
 
 
 def shape_of(t: Tree) -> tuple:
-    return tuple(shape_of(c) for c in t.children)
+    shapes = {}
+    for v, _ in reversed(list(_preorder(t))):  # children before parents
+        shapes[v] = tuple(shapes[c] for c in t.kids[v])
+    return shapes[t.label]
 
 
 def shape_edges(s) -> int:
@@ -302,10 +408,10 @@ def shape_leaves(s) -> int:
 
 def cohort(t: Tree, v: int) -> tuple:
     """Left siblings of v, in sibling order."""
-    parent, children = tables_of(t)
-    _require_vertex(children, v)
-    sibs = children[parent[v]]
-    return tuple(sibs[: sibs.index(v)])
+    kids = t.kids
+    _require_vertex(kids, v)
+    sibs = kids[_parents(kids)[v]]
+    return sibs[: sibs.index(v)]
 
 
 def big_cohort(t: Tree, v: int) -> tuple:
@@ -324,15 +430,14 @@ def associate(t: Tree, v: int):
     return min(bc) if bc else INFINITY
 
 
-def _assoc_in(children, sibs, v):
-    # associate computed from a sibling list, for table-level callers
-    pos = sibs.index(v)
-    best = INFINITY
-    i = pos - 1
-    while i >= 0 and sibs[i] > v:
-        if sibs[i] < best:
-            best = sibs[i]
-        i -= 1
+def _assoc_at(sibs, pos):
+    # associate of sibs[pos], for table-level callers
+    v, best = sibs[pos], INFINITY
+    pos -= 1
+    while pos >= 0 and sibs[pos] > v:
+        if sibs[pos] < best:
+            best = sibs[pos]
+        pos -= 1
     return best
 
 
@@ -343,33 +448,43 @@ def klazar_violators(t: Tree) -> tuple:
     so a leaf is a violator exactly when its big cohort is nonempty and
     a vertex with empty big cohort never qualifies.
     """
-    return _klazar_violators(*tables_of(t))
+    return _klazar_violators(t.kids)
 
 
-def _klazar_violators(parent, children):
-    return tuple(sorted(v for v in parent if _is_violator(parent, children, v)))
+def _klazar_violators(children):
+    # only a descent terminator (left neighbour larger) can be a violator
+    out = [sibs[pos] for sibs in children if len(sibs) > 1 for pos in range(1, len(sibs))
+           if sibs[pos - 1] > sibs[pos] and _violates(children, sibs, pos)]
+    out.sort()
+    return tuple(out)
+
+
+def _violates(children, sibs, pos):
+    kids = children[sibs[pos]]
+    return _assoc_at(sibs, pos) < (min(kids) if kids else INFINITY)
 
 
 def _is_violator(parent, children, v):
-    a = _assoc_in(children, children[parent[v]], v)
-    m = min(children[v]) if children[v] else INFINITY
-    return a < m
+    sibs = children[parent[v]]
+    return _violates(children, sibs, sibs.index(v))
 
 
 def violator_partner(t: Tree, v: int) -> int:
     """Rightmost child or closest left sibling of a violator, whichever
     is larger."""
-    parent, children = tables_of(t)
-    _require_vertex(children, v)
-    if not _is_violator(parent, children, v):
+    kids = t.kids
+    _require_vertex(kids, v)
+    parent = _parents(kids)
+    if not _is_violator(parent, kids, v):
         raise ValueError(f"{v} is not a Klazar violator")
-    return _partner(parent, children, v)
+    return _partner(parent, kids, v)
 
 
 def violator_partners(t: Tree) -> dict:
-    """All (violator, partner) pairs of t as a dict."""
-    parent, children = tables_of(t)
-    return {v: _partner(parent, children, v) for v in parent if _is_violator(parent, children, v)}
+    """All (violator, partner) pairs of t as a dict, violators ascending."""
+    kids = t.kids
+    parent = _parents(kids)
+    return {v: _partner(parent, kids, v) for v in _klazar_violators(kids)}
 
 
 def _partner(parent, children, v):
@@ -381,18 +496,18 @@ def _partner(parent, children, v):
 def bad_vertices(t: Tree) -> frozenset:
     """Vertices with a right neighbour that they either exceed or that
     they sit next to while having a child of their own."""
-    return _bad_scan(tables_of(t)[1], reverse=False)
+    return _bad_scan(t.kids, reverse=False)
 
 
 def reverse_bad_vertices(t: Tree) -> frozenset:
     """Mirror image of bad_vertices: left neighbour instead of right."""
-    return _bad_scan(tables_of(t)[1], reverse=True)
+    return _bad_scan(t.kids, reverse=True)
 
 
 def _bad_scan(children, reverse):
     # the reverse case is the same scan over mirrored sibling lists
     out = set()
-    for sibs in children.values():
+    for sibs in children:
         sibs = sibs[::-1] if reverse else sibs
         for i, v in enumerate(sibs[:-1]):
             if v > sibs[i + 1] or children[v]:
@@ -405,14 +520,14 @@ def pi_leaf_map(t: Tree, leaf: int) -> int:
 
     Undefined (raises) for the leaf terminating the leftmost root path.
     """
-    parent, children = tables_of(t)
-    _require_vertex(children, leaf)
-    if children[leaf]:
+    kids = t.kids
+    _require_vertex(kids, leaf)
+    if kids[leaf]:
         raise ValueError(f"{leaf} is not a leaf")
+    parent = _parents(kids)
     v = leaf
     while v != 0:
-        sibs = children[parent[v]]
-        if sibs.index(v) > 0:
+        if kids[parent[v]].index(v) > 0:
             return v
         v = parent[v]
     raise ValueError(f"leaf {leaf} terminates the leftmost path")
@@ -420,12 +535,12 @@ def pi_leaf_map(t: Tree, leaf: int) -> int:
 
 def pi_inverse(t: Tree, v: int) -> int:
     """Leaf at the end of the leftmost downward path from v."""
-    parent, children = tables_of(t)
-    _require_vertex(children, v)
-    if v not in _bad_scan(children, reverse=True):
+    kids = t.kids
+    _require_vertex(kids, v)
+    if v not in _bad_scan(kids, reverse=True):
         raise ValueError(f"{v} is not reverse-bad")
-    while children[v]:
-        v = children[v][0]
+    while kids[v]:
+        v = kids[v][0]
     return v
 
 
@@ -434,8 +549,9 @@ def pi_inverse(t: Tree, v: int) -> int:
 
 
 def apply_F_tables(parent, children) -> None:
-    """In-place F on tables.  See involution_F for the contract."""
-    n = len(parent)  # labels are 1..n plus root 0
+    """In-place F on label-indexed tables: the lists the maps edit, or
+    the dicts of tables_of.  See involution_F for the contract."""
+    n = len(children) - 1  # labels are 0..n
     sibs = children[parent[n]]
     pos = sibs.index(n)
     if pos == len(sibs) - 1:
@@ -443,7 +559,7 @@ def apply_F_tables(parent, children) -> None:
     j = sibs[pos + 1]
     if _is_violator(parent, children, j):
         # big cohort of j is P a Q n; P a become j's leftmost children
-        if _assoc_in(children, sibs, j) != n:
+        if _assoc_at(sibs, pos + 1) != n:
             _cohort_to_children(parent, children, j)
     else:
         assert children[j], "a complier with n as left neighbour has children"
@@ -464,9 +580,9 @@ def involution_F(t: Tree) -> Tree:
     n = check_increasing_tree(t)
     if n < 1:
         raise ValueError("F needs at least one edge")
-    parent, children = tables_of(t)
+    parent, children = _tables(t)
     apply_F_tables(parent, children)
-    return tree_from_tables(children)
+    return _tree_of(children)
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +598,9 @@ def H_map(t: Tree, v: int) -> int:
     non-root vertices this is a bijection onto non-partner non-root
     vertices.
     """
-    parent, children = tables_of(t)
-    _require_vertex(children, v)
-    return _H(parent, children, v)
+    kids = t.kids
+    _require_vertex(kids, v)
+    return _H(_parents(kids), kids, v)
 
 
 def _H(parent, children, v):
@@ -513,9 +629,9 @@ def prune_tree(t: Tree) -> Tree:
     n = check_increasing_tree(t)
     if n == 0:
         raise ValueError("cannot prune the root-only tree")
-    parent, children = tables_of(t)
+    parent, children = _tables(t)
     _remove_largest(parent, children, n)
-    return tree_from_tables(children)
+    return _tree_of(children)
 
 
 @dataclass(frozen=True)
@@ -530,17 +646,9 @@ class VertexStats:
 
 
 def descent_terminators(t: Tree) -> frozenset:
-    return _descent_terminators(*tables_of(t))
-
-
-def _descent_terminators(parent, children):
-    out = set()
-    for v in parent:
-        sibs = children[parent[v]]
-        i = sibs.index(v)
-        if i > 0 and sibs[i - 1] > v:
-            out.add(v)
-    return frozenset(out)
+    return frozenset(
+        sibs[i] for sibs in t.kids for i in range(1, len(sibs)) if sibs[i - 1] > sibs[i]
+    )
 
 
 def tree_stats(t: Tree) -> VertexStats:
@@ -550,18 +658,15 @@ def tree_stats(t: Tree) -> VertexStats:
     zero-edge row of the refined count tables is consistent.  For
     n >= 1 leaves + nodes + 1 equals the vertex count.
     """
-    parent, children = tables_of(t)
-    dts = _descent_terminators(parent, children)
-    leaves = [v for v in parent if not children[v]]
-    if not parent:
-        leaves = [0]
-    nodes = [v for v in parent if children[v]]
+    kids = t.kids
+    dts = descent_terminators(t)
+    leaves = [v for v in range(1, len(kids)) if not kids[v]] or [0]
     return VertexStats(
         leaves=len(leaves),
-        nodes=len(nodes),
-        klazar_violators=_klazar_violators(parent, children),
-        bad=_bad_scan(children, reverse=False),
-        reverse_bad=_bad_scan(children, reverse=True),
+        nodes=sum(1 for ks in kids[1:] if ks),
+        klazar_violators=_klazar_violators(kids),
+        bad=_bad_scan(kids, reverse=False),
+        reverse_bad=_bad_scan(kids, reverse=True),
         non_dt_leaves=sum(1 for v in leaves if v not in dts),
         descent_terminators=dts,
     )
@@ -573,20 +678,12 @@ def tree_stats(t: Tree) -> VertexStats:
 
 def w12_of_shape(s) -> int:
     """Number of violator-free increasing labelings of the shape s."""
-    n = shape_edges(s)
-    count = 0
-    for children in _labelings(s, n):
-        parent = {}
-        for v, kids in children.items():
-            for c in kids:
-                parent[c] = v
-        if not any(_is_violator(parent, children, v) for v in parent):
-            count += 1
-    return count
+    return sum(1 for children in _labelings(s, shape_edges(s)) if not _klazar_violators(children))
 
 
 def _labelings(s, n):
-    """Yield children tables for every increasing labeling of shape s.
+    """Yield the child table (lists indexed by label) of every increasing
+    labeling of shape s.
 
     The root of a subtree is forced to take the smallest label handed
     to that subtree, so it is enough to split the available labels
@@ -616,7 +713,7 @@ def _labelings(s, n):
         yield from assign(0, tuple(avail))
 
     for _ in fill(s, 0, tuple(range(1, n + 1))):
-        yield {v: list(k) for v, k in table.items()}
+        yield [list(table[v]) for v in range(n + 1)]
 
 
 def klazar_weighted_sum(n: int) -> int:

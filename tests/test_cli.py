@@ -1,12 +1,18 @@
 """End-to-end tests that drive the command line through ``main(argv)``."""
 
+import contextlib
 import io
 import json
+import re
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klazar import cli
+from klazar.codes import code_to_tree, trapezoidal_to_code
+from klazar.tree_core import tree_to_text
 
 
 def run(argv, stdin=None, monkeypatch=None, capsys=None):
@@ -82,6 +88,105 @@ def test_map_Phi_on_a_wide_shallow_tree(monkeypatch, capsys):
     )
     assert code == 0, err
     assert out.count("/") == 1199
+
+
+def path_tree_text(n):
+    """0(1(2(...(n)))), the path tree with n edges."""
+    return "".join(f"{k}(" for k in range(n)) + str(n) + ")" * n
+
+
+# Nothing on the way from the text to the output walks the tree by
+# recursion, so these run at the default recursion limit.
+@pytest.mark.parametrize("n", [1200, 100_000])
+@pytest.mark.parametrize("which", ["Phi", "Phi-explicit", "sigma", "tree-code", "phi-inv"])
+def test_maps_take_deep_path_trees(which, n, monkeypatch, capsys):
+    text = path_tree_text(n)
+    code, out, err = run(
+        ["map", "--which", which, "--format", "text"],
+        stdin=text,
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert (code, err) == (0, "")
+    if which in ("sigma", "tree-code"):
+        # F never moves anything on a path, so sigma is the build code
+        assert out == ",".join(f"R{k}" for k in range(n)) + "\n"
+    elif which == "phi-inv":
+        assert out == text + "\n"  # a path has no violators to unmark
+    else:
+        assert out.count("/") == n - 1
+
+
+def test_draw_takes_deep_path_trees(monkeypatch, capsys):
+    code, out, err = run(
+        ["draw", "--format", "ascii"],
+        stdin=path_tree_text(1200),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "  " * 1200 + "1200"
+    code, out, err = run(
+        ["draw", "--format", "svg"],
+        stdin=path_tree_text(100_000),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out.count("<line ") == 100_000
+
+
+TREE_COMMANDS = [["map", "--which", w] for w, (parse, _) in cli.MAPS.items()
+                 if parse in (cli._parse_tree, cli._parse_marked_tree)] + [["draw"]]
+
+
+@st.composite
+def tree_command_inputs(draw):
+    """A tree command and a tree text for it: a valid tree, or one with a
+    dropped parenthesis, a repeated or a missing label, a stray
+    character, or deep nesting."""
+    n = draw(st.integers(0, 12))
+    word = [draw(st.integers(1, 2 * k - 1)) for k in range(1, n + 1)]
+    text = tree_to_text(code_to_tree(trapezoidal_to_code(word)))
+    fault = draw(st.sampled_from(["none", "paren", "repeat", "missing", "stray", "deep"]))
+    labels = [m.span() for m in re.finditer(r"\d+", text)]
+    parens = [i for i, ch in enumerate(text) if ch in "()"]
+    if fault == "paren" and parens:
+        i = draw(st.sampled_from(parens))
+        text = text[:i] + text[i + 1:]
+    elif fault in ("repeat", "missing"):
+        a, b = draw(st.sampled_from(labels))
+        new = draw(st.integers(0, n)) if fault == "repeat" else n + draw(st.integers(1, 3))
+        text = text[:a] + str(new) + text[b:]
+    elif fault == "stray":
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from("(),x -|0")) + text[i:]
+    elif fault == "deep":
+        text = path_tree_text(draw(st.integers(1000, 3000)))
+    command = draw(st.sampled_from(TREE_COMMANDS))
+    if command == ["draw"]:
+        command = command + ["--format", draw(st.sampled_from(["ascii", "svg"]))]
+    else:
+        command = command + ["--format", draw(st.sampled_from(["json", "text"]))]
+    if "phi" in command and draw(st.booleans()):
+        text += "|" + ",".join(str(draw(st.integers(-1, n + 1))) for _ in range(draw(st.integers(0, 3))))
+    return command, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_command_inputs())
+def test_tree_commands_exit_0_or_2_and_never_print_a_traceback(case):
+    command, text = case
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(command)
+    assert code in (0, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
 
 
 def test_map_Phi_json(monkeypatch, capsys):

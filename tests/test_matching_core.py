@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -75,6 +76,12 @@ def test_dotref_from_json_rejects_bad_input(obj):
         DotRef.from_json(obj)
 
 
+@pytest.mark.parametrize("row", ["mid", "TOP", "", None, 1])
+def test_dotref_rejects_a_row_other_than_top_or_bot(row):
+    with pytest.raises(ValueError):
+        DotRef(row, 1)
+
+
 def test_text_roundtrip():
     for s in ["1 2", "1 4/2 3", "1 3/2 10/4 7/5 9/6 8"]:
         m = matching_from_text(s)
@@ -118,6 +125,17 @@ def test_edge_classification_against_bruteforce():
             total = (len(cls.uplines) + len(cls.verticals) + len(cls.downlines)
                      + len(cls.top_arcs) + len(cls.bottom_arcs))
             assert total == n, "every pair lands in exactly one class"
+
+
+def test_uplines_read_off_the_partner_table_agree_with_the_oracle():
+    rng = random.Random(500)
+    small = (m for n in range(7) for m in enumerate_matchings(n))
+    large = [matching_from_code([("B", 1)] + [
+        ("B", rng.randint(1, k)) if rng.random() < 0.5 else ("T", rng.randint(1, k - 1))
+        for k in range(2, 501)]) for _ in range(20)]
+    for m in [*small, *large]:
+        assert uplines(m) == bf.bf_uplines(m.pairs())
+    assert any(uplines(m) for m in large)
 
 
 def test_edge_classes_by_hand():
