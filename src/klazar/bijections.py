@@ -30,7 +30,6 @@ from .tree_core import (
     _partner,
     _remove_largest,
     _tables,
-    _tree_of,
     apply_F_tables,
     check_increasing_tree,
     check_marked_tree,
@@ -55,7 +54,7 @@ def phi(mt: MarkedTree) -> Tree:
         assert children[u], "marks are interior vertices"
         _children_to_cohort(parent, children, u)
     assert set(_klazar_violators(children)) == set(mt.marked)
-    return _tree_of(children)
+    return Tree(children)
 
 
 def phi_inverse(t: Tree) -> MarkedTree:
@@ -67,7 +66,7 @@ def phi_inverse(t: Tree) -> MarkedTree:
     marks = _klazar_violators(children)
     for u in marks:
         _cohort_to_children(parent, children, u)
-    mt = MarkedTree(_tree_of(children), frozenset(marks))
+    mt = MarkedTree(Tree(children), frozenset(marks))
     check_marked_tree(mt)
     return mt
 
@@ -95,7 +94,7 @@ def sigma_inverse(code) -> Tree:
     for k, (X, i) in enumerate(code, start=1):
         _insert(parent, children, k, X, i)
         apply_F_tables(parent, children)
-    return _tree_of(children)
+    return Tree(children)
 
 
 def violators_from_treecode(code):

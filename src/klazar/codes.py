@@ -20,7 +20,7 @@ from collections import Counter
 from itertools import product
 
 from .matching_core import Matching, _enlarge, _prune
-from .tree_core import Tree, _insert, _remove_largest, _tree_of, tables_of
+from .tree_core import Tree, _insert, _remove_largest, tables_of
 
 
 def _validate_code(code, first, second, lo, kind):
@@ -68,7 +68,7 @@ def code_to_tree(code) -> Tree:
     parent, children = [None], [()]
     for k, (X, i) in enumerate(code, start=1):
         _insert(parent, children, k, X, i)
-    return _tree_of(children)
+    return Tree(children)
 
 
 def tree_to_code(t: Tree):

@@ -252,10 +252,18 @@ def series_inv_sqrt(g: TruncatedEGF) -> TruncatedEGF:
 # the closed forms, in marker variables (rewritten to constant term 1)
 
 
+def _inv_sqrt_geometric(order, markers, lead, base) -> TruncatedEGF:
+    """1/sqrt(1 + sum_{m>=1} lead base^{m-1} x^m/m!) for polynomials lead
+    and base, keeping a running product of base."""
+    coeffs = [_pconst(1, len(markers)), lead]
+    while len(coeffs) <= order:
+        coeffs.append(_pmul(coeffs[-1], base))
+    return series_inv_sqrt(TruncatedEGF(order, markers, tuple(coeffs[: order + 1])))
+
+
 def gf_w12(order: int) -> TruncatedEGF:
     """Scalar series with m-th coefficient w12(m): 1/sqrt(2e^{-x} - 1)."""
-    g = _egf(order, (), lambda m: _pconst(1 if m == 0 else 2 * (-1) ** m, 0))
-    return series_inv_sqrt(g)
+    return _inv_sqrt_geometric(order, (), {(): Fraction(-2)}, {(): -ONE})
 
 
 def gf_leaves(order: int) -> TruncatedEGF:
@@ -264,13 +272,7 @@ def gf_leaves(order: int) -> TruncatedEGF:
     Rewrite: 1/sqrt(1 - 2y h) with h_m = (1-2y)^{m-1} for m >= 1.
     """
     base = {(0,): ONE, (1,): Fraction(-2)}  # 1 - 2y
-
-    def coeff(m):
-        if m == 0:
-            return _pconst(1, 1)
-        return _pmul({(1,): Fraction(-2)}, _ppow(base, m - 1, 1))
-
-    return series_inv_sqrt(_egf(order, ("y",), coeff))
+    return _inv_sqrt_geometric(order, ("y",), {(1,): Fraction(-2)}, base)
 
 
 def gf_Fstarstar(order: int) -> TruncatedEGF:
@@ -278,14 +280,8 @@ def gf_Fstarstar(order: int) -> TruncatedEGF:
 
     Rewrite: 1/sqrt(1 - y g) with g_m = 2^m (1-y)^{m-1} for m >= 1.
     """
-    base = {(0,): ONE, (1,): -ONE}  # 1 - y
-
-    def coeff(m):
-        if m == 0:
-            return _pconst(1, 1)
-        return _pmul({(1,): Fraction(-(2**m))}, _ppow(base, m - 1, 1))
-
-    return series_inv_sqrt(_egf(order, ("y",), coeff))
+    base = {(0,): Fraction(2), (1,): Fraction(-2)}  # 2 - 2y
+    return _inv_sqrt_geometric(order, ("y",), {(1,): Fraction(-2)}, base)
 
 
 def gf_trivariate(order: int) -> TruncatedEGF:
@@ -295,26 +291,14 @@ def gf_trivariate(order: int) -> TruncatedEGF:
     Rewrite: 1/sqrt(1 - 2z s) with s_m = (1+y-2z)^{m-1} for m >= 1.
     """
     base = {(0, 0): ONE, (1, 0): ONE, (0, 1): Fraction(-2)}  # 1 + y - 2z
-
-    def coeff(m):
-        if m == 0:
-            return _pconst(1, 2)
-        return _pmul({(0, 1): Fraction(-2)}, _ppow(base, m - 1, 2))
-
-    return series_inv_sqrt(_egf(order, ("y", "z"), coeff))
+    return _inv_sqrt_geometric(order, ("y", "z"), {(0, 1): Fraction(-2)}, base)
 
 
 def gf_kv(order: int) -> TruncatedEGF:
     """Marker y counts violators.  Rewrite: 1/sqrt(1 - 2h),
     h_m = (y-1)^{m-1} for m >= 1."""
     base = {(1,): ONE, (0,): -ONE}  # y - 1
-
-    def coeff(m):
-        if m == 0:
-            return _pconst(1, 1)
-        return _pmul(_pconst(-2, 1), _ppow(base, m - 1, 1))
-
-    return series_inv_sqrt(_egf(order, ("y",), coeff))
+    return _inv_sqrt_geometric(order, ("y",), _pconst(-2, 1), base)
 
 
 def gf_even_odd(order: int) -> TruncatedEGF:

@@ -7,9 +7,9 @@ the canonical enumeration, the sibling-based vertex statistics (cohort,
 big cohort, associate, violators, bad vertices), and the tree-side
 auxiliary maps F, H, pi and prune.
 
-A tree is stored as its label-indexed child table, Tree.kids.  The
-statistics read it directly, the maps edit a list copy of it, and every
-walk is a loop, so no tree size is limited by Python's recursion depth.
+A tree is its label-indexed child table, Tree(kids).  The statistics
+read it directly, the maps edit a list copy of it, and every walk is a
+loop, so no tree size is limited by Python's recursion depth.
 
 Text notation used throughout: root label followed by a parenthesised
 child list, e.g. 0(1(3,6(11),9,4(10,5),2(8)),7).
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 
 # Sentinel for "associate of a vertex with empty big cohort".  It must
 # compare above every label and satisfy INFINITY >= INFINITY; a float
@@ -33,29 +33,20 @@ class Tree:
     sibling order, for v = 0..n, and the root is 0.  Treat it as
     immutable; it is hashable and compared by its table.
 
-    Tree(label, children), e.g. Tree(0, (Tree(2, ()), Tree(1, ()))) for
-    0(2,1), is the nested input form.  It merges the children's tables
-    (a copy per call, so parse text or JSON for a large tree) and keeps
-    a subtree's root in `label`, 0 otherwise.  It validates nothing:
+    Tree(kids) takes the child table, a sequence of tuples, e.g.
+    Tree(((2, 1), (), ())) for 0(2,1).  It validates nothing:
     check_increasing_tree reports repeated, missing or decreasing labels.
     """
 
-    __slots__ = ("kids", "label")
+    __slots__ = ("kids",)
 
-    def __init__(self, label: int, children=()):
-        children = tuple(children)
-        table = [()] * max([label + 1, *(len(c.kids) for c in children)])
-        for c in children:
-            for v, ks in enumerate(c.kids):
-                if ks:
-                    table[v] += ks
-        table[label] += tuple(c.label for c in children)
-        self.kids, self.label = tuple(table), label
+    def __init__(self, kids):
+        self.kids = tuple(kids)
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
             return NotImplemented
-        return self.kids == other.kids and self.label == other.label
+        return self.kids == other.kids
 
     def __hash__(self):
         return hash(self.kids)
@@ -66,18 +57,6 @@ class Tree:
     @staticmethod
     def parse(text: str) -> "Tree":
         return tree_from_text(text)
-
-
-def _tree(kids, label=0) -> Tree:
-    """The Tree whose child table is kids (a tuple of tuples), unchecked."""
-    t = object.__new__(Tree)
-    t.kids, t.label = kids, label
-    return t
-
-
-def _tree_of(children) -> Tree:
-    """Freeze a list of child tuples indexed by label 0..n."""
-    return _tree(tuple(children))
 
 
 @dataclass(frozen=True)
@@ -99,11 +78,11 @@ class MarkedTree:
 def _preorder(t: Tree):
     """Yield (label, depth) for every vertex of t in preorder."""
     kids, budget = t.kids, len(t.kids)
-    stack = [(t.label, 0)]
+    stack = [(0, 0)]
     while stack:
         v, d = stack.pop()
         budget -= 1
-        if budget < 0:  # only a malformed nested input can get here
+        if budget < 0:  # only a malformed Tree(kids) can get here
             raise ValueError("the child table does not describe a tree")
         yield v, d
         stack.extend((c, d + 1) for c in reversed(kids[v]))
@@ -202,7 +181,7 @@ def _tree_from_edges(root, edges) -> Tree:
             raise ValueError(f"labels are not exactly 0..{n}: {labels}")
         placed[c] = True
         children[p].append(c)
-    return _tree(tuple(map(tuple, children)))
+    return Tree(map(tuple, children))
 
 
 def check_increasing_tree(t: Tree) -> int:
@@ -213,8 +192,6 @@ def check_increasing_tree(t: Tree) -> int:
     for v, ks in enumerate(kids):
         if ks and min(ks) <= v:
             raise ValueError(f"child {min(ks)} does not exceed parent {v}")
-    if t.label != 0:
-        raise ValueError(f"root label must be 0, got {t.label}")
     labels = set(chain.from_iterable(kids))
     if len(labels) != n or sum(map(len, kids)) != n or max(labels, default=0) > n:
         raise ValueError(f"labels are not exactly 0..{n}")
@@ -259,14 +236,9 @@ def tables_of(t: Tree):
     return parent, dict(enumerate(map(list, t.kids)))
 
 
-def tree_from_tables(children, root=0) -> Tree:
-    """The tree below root of a children table (a dict or list by label)."""
-    kids, stack = {}, [root]
-    while stack:
-        v = stack.pop()
-        kids[v] = tuple(children[v])
-        stack.extend(c for c in kids[v] if c not in kids)
-    return _tree(tuple(kids.get(v, ()) for v in range(max(kids) + 1)), root)
+def tree_from_tables(children) -> Tree:
+    """The tree of a children table (a dict or list by label 0..n)."""
+    return Tree(tuple(children[v]) for v in range(len(children)))
 
 
 def _require_vertex(children, v):
@@ -356,7 +328,7 @@ def enumerate_increasing_trees(n: int):
     if n < 0:
         raise ValueError("edge count must be nonnegative")
     if n == 0:
-        yield _tree(((),))
+        yield Tree(((),))
         return
     parent, children = [None], [()]
 
@@ -366,7 +338,7 @@ def enumerate_increasing_trees(n: int):
             if k < n:
                 yield from rec(k + 1)
             else:
-                yield _tree(tuple(children))
+                yield Tree(children)
             children[p] = sibs
             children.pop()
             parent.pop()
@@ -389,7 +361,7 @@ def shape_of(t: Tree) -> tuple:
     shapes = {}
     for v, _ in reversed(list(_preorder(t))):  # children before parents
         shapes[v] = tuple(shapes[c] for c in t.kids[v])
-    return shapes[t.label]
+    return shapes[0]
 
 
 def shape_edges(s) -> int:
@@ -582,7 +554,7 @@ def involution_F(t: Tree) -> Tree:
         raise ValueError("F needs at least one edge")
     parent, children = _tables(t)
     apply_F_tables(parent, children)
-    return _tree_of(children)
+    return Tree(children)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +603,7 @@ def prune_tree(t: Tree) -> Tree:
         raise ValueError("cannot prune the root-only tree")
     parent, children = _tables(t)
     _remove_largest(parent, children, n)
-    return _tree_of(children)
+    return Tree(children)
 
 
 @dataclass(frozen=True)
@@ -682,38 +654,31 @@ def w12_of_shape(s) -> int:
 
 
 def _labelings(s, n):
-    """Yield the child table (lists indexed by label) of every increasing
-    labeling of shape s.
+    """Yield the child table (tuples indexed by label) of every increasing
+    labeling of the n-edge shape s.
 
-    The root of a subtree is forced to take the smallest label handed
-    to that subtree, so it is enough to split the available labels
-    among the child subtrees in every way.
+    These are the linear extensions of the shape: number its vertices
+    once, then give labels 1..n, in order, to any unlabelled vertex whose
+    parent already has a label.
     """
-    table = {}
+    shapes, kids = [s], []  # kids[i]: numbers of vertex i's children
+    for shape in shapes:  # numbers vertices breadth first
+        kids.append(tuple(range(len(shapes), len(shapes) + len(shape))))
+        shapes.extend(shape)
+    label = [0] * (n + 1)
 
-    def fill(shape, root_label, avail):
-        # avail: labels for the proper descendants of root_label
-        sizes = [shape_edges(c) + 1 for c in shape]
-        assert sum(sizes) == len(avail)
-        table[root_label] = []
+    def extend(k, ready):  # ready: unlabelled vertices with a labelled parent
+        if k > n:
+            table = [()] * (n + 1)
+            for i, ks in enumerate(kids):
+                table[label[i]] = tuple(label[c] for c in ks)
+            yield table
+            return
+        for j, i in enumerate(ready):
+            label[i] = k
+            yield from extend(k + 1, ready[:j] + ready[j + 1:] + kids[i])
 
-        def assign(idx, remaining):
-            if idx == len(shape):
-                yield
-                return
-            for chosen in combinations(remaining, sizes[idx]):
-                rest = tuple(x for x in remaining if x not in chosen)
-                r = min(chosen)
-                table[root_label].append(r)
-                sub = tuple(x for x in chosen if x != r)
-                for _ in fill(shape[idx], r, sub):
-                    yield from assign(idx + 1, rest)
-                table[root_label].pop()
-
-        yield from assign(0, tuple(avail))
-
-    for _ in fill(s, 0, tuple(range(1, n + 1))):
-        yield [list(table[v]) for v in range(n + 1)]
+    yield from extend(1, kids[0])
 
 
 def klazar_weighted_sum(n: int) -> int:

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klazar import cli
-from klazar.codes import code_to_tree, trapezoidal_to_code
+from klazar.codes import (
+    code_to_matching,
+    code_to_text,
+    code_to_tree,
+    trapezoidal_to_code,
+    treecode_to_matchcode,
+    word_to_text,
+)
+from klazar.matching_core import matching_to_text
 from klazar.tree_core import tree_to_text
 
 
@@ -173,10 +181,7 @@ def tree_command_inputs(draw):
     return command, text
 
 
-@settings(max_examples=200, deadline=None)
-@given(tree_command_inputs())
-def test_tree_commands_exit_0_or_2_and_never_print_a_traceback(case):
-    command, text = case
+def assert_exit_0_or_2_without_traceback(command, text):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(text)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -187,6 +192,62 @@ def test_tree_commands_exit_0_or_2_and_never_print_a_traceback(case):
     else:
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_command_inputs())
+def test_tree_commands_exit_0_or_2_and_never_print_a_traceback(case):
+    assert_exit_0_or_2_without_traceback(*case)
+
+
+# the input family each code or matching map reads
+CODE_MAPS = {
+    "sigma-inv": ["tree code"], "code-tree": ["tree code"],
+    "tau": ["match code"], "tau-variant": ["match code"], "code-match": ["match code"],
+    "code-corr": ["tree code", "match code"], "trapezoidal": ["word", "tree code"],
+    "tau-inv": ["matching"], "match-code": ["matching"],
+}
+
+
+@st.composite
+def code_command_inputs(draw):
+    """A code or matching map and an input for it, as text or JSON: a
+    valid object of its family or of another, possibly truncated, with a
+    value of the wrong type, an index out of range or a bad letter."""
+    which = draw(st.sampled_from(sorted(CODE_MAPS)))
+    n = draw(st.integers(0, 10))
+    word = tuple(draw(st.integers(1, 2 * k - 1)) for k in range(1, n + 1))
+    tree_code = trapezoidal_to_code(word)
+    match_code = treecode_to_matchcode(tree_code)
+    matching = code_to_matching(match_code)
+    forms = {  # family -> (text form, JSON form)
+        "word": (word_to_text(word), json.dumps(list(word))),
+        "tree code": (code_to_text(tree_code), json.dumps([list(e) for e in tree_code])),
+        "match code": (code_to_text(match_code), json.dumps([list(e) for e in match_code])),
+        "matching": (matching_to_text(matching), json.dumps(matching.to_json())),
+    }
+    family = draw(st.sampled_from(CODE_MAPS[which] if draw(st.booleans()) else sorted(forms)))
+    text = forms[family][draw(st.integers(0, 1))]
+    fault = draw(st.sampled_from(["none", "truncate", "type", "index", "letter"]))
+    numbers = [m.span() for m in re.finditer(r'-?\d+|"[^"]*"', text)]
+    letters = [i for i, ch in enumerate(text) if ch.isalpha()]
+    if fault == "truncate" and text:
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif fault in ("type", "index") and numbers:
+        a, b = draw(st.sampled_from(numbers))
+        new = (draw(st.sampled_from(["true", "null", "1.5", '"1"', "[]", "{}"])) if fault == "type"
+               else str(draw(st.sampled_from([-1, 0, n + 1, 2 * n + 1, 2 * n + 2, 10**6]))))
+        text = text[:a] + new + text[b:]
+    elif fault == "letter" and letters:
+        i = draw(st.sampled_from(letters))
+        text = text[:i] + draw(st.sampled_from("RLBTXr")) + text[i + 1:]
+    return ["map", "--which", which, "--format", draw(st.sampled_from(["json", "text"]))], text
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_command_inputs())
+def test_code_and_matching_maps_exit_0_or_2_and_never_print_a_traceback(case):
+    assert_exit_0_or_2_without_traceback(*case)
 
 
 def test_map_Phi_json(monkeypatch, capsys):

@@ -73,13 +73,13 @@ def test_text_rejects_garbage():
 
 
 def test_validation_catches_bad_labelings():
-    dup = Tree(0, (Tree(1, ()), Tree(1, ())))
+    dup = Tree(((1, 1), ()))
     with pytest.raises(ValueError):
         check_increasing_tree(dup)
-    gap = Tree(0, (Tree(2, ()),))
+    gap = Tree(((2,), (), ()))
     with pytest.raises(ValueError):
         check_increasing_tree(gap)
-    decreasing = Tree(0, (Tree(2, (Tree(1, ()),)),))
+    decreasing = Tree(((2,), (), (1,)))
     with pytest.raises(ValueError):
         check_increasing_tree(decreasing)
 
@@ -313,7 +313,7 @@ def test_pi_maps_are_inverse_on_reverse_bad_vertices():
 
 
 def test_w12_of_shape_agrees_with_filtered_enumeration():
-    for n in range(5):
+    for n in range(7):
         tally = {}
         for t in enumerate_increasing_trees(n):
             if not klazar_violators(t):
@@ -321,6 +321,21 @@ def test_w12_of_shape_agrees_with_filtered_enumeration():
                 tally[s] = tally.get(s, 0) + 1
         for s in enumerate_shapes(n):
             assert w12_of_shape(s) == tally.get(s, 0)
+
+
+def test_labelings_are_every_increasing_labeling_once():
+    # hook-length count: a shape with n edges has n! / prod(non-root subtree
+    # sizes) increasing labelings, violators or not
+    def hooks(s):
+        return math.prod(shape_edges(c) + 1 for c in s) * math.prod(map(hooks, s))
+
+    for n in range(7):
+        for s in enumerate_shapes(n):
+            tables = [tuple(t) for t in tree_core._labelings(s, n)]
+            assert len(set(tables)) == len(tables) == math.factorial(n) // hooks(s)
+            for t in tables:
+                assert check_increasing_tree(Tree(t)) == n
+                assert shape_of(Tree(t)) == s
 
 
 def test_weighted_sum_hits_the_double_factorial():
