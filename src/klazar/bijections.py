@@ -83,8 +83,7 @@ def sigma(t: Tree):
     for k in range(n, 0, -1):
         apply_F_tables(parent, children)
         code.append(_remove_largest(parent, children, k))
-    code.reverse()
-    return validate_tree_code(code)
+    return tuple(reversed(code))
 
 
 def sigma_inverse(code) -> Tree:

@@ -16,10 +16,9 @@ import json
 import sys
 import time
 from collections import Counter
-from fractions import Fraction
-from itertools import combinations
 
 from . import bijections, codes, counting, matching_core, series, tree_core
+from .checks import CHECKS
 from .matching_core import Matching, classify_edges, uplines, weak_downlines
 from .tree_core import MarkedTree, Tree
 
@@ -186,7 +185,27 @@ def _shape_json(s):
 # map
 
 
+def _code_corr(code):
+    if not code:
+        _fail("empty code")
+    if code[0][0] in "RL":
+        return codes.treecode_to_matchcode(code)
+    return codes.matchcode_to_treecode(code)
+
+
+def _trapezoidal(obj):
+    if obj and isinstance(obj[0], tuple):
+        return codes.code_to_trapezoidal(obj)
+    return codes.trapezoidal_to_code(obj)
+
+
+# in the order the --which choices are listed
 MAPS = {
+    "Phi": (_parse_tree, bijections.Phi_recursive),
+    "Phi-explicit": (_parse_tree, bijections.Phi_explicit),
+    "code-match": (_parse_code, codes.code_to_matching),
+    "code-tree": (_parse_code, codes.code_to_tree),
+    "match-code": (_parse_matching, codes.matching_to_code),
     "phi": (_parse_marked_tree, bijections.phi),
     "phi-inv": (_parse_tree, bijections.phi_inverse),
     "sigma": (_parse_tree, bijections.sigma),
@@ -194,37 +213,15 @@ MAPS = {
     "tau": (_parse_code, bijections.tau),
     "tau-inv": (_parse_matching, bijections.tau_inverse),
     "tau-variant": (_parse_code, bijections.tau_variant),
-    "Phi": (_parse_tree, bijections.Phi_recursive),
-    "Phi-explicit": (_parse_tree, bijections.Phi_explicit),
     "tree-code": (_parse_tree, codes.tree_to_code),
-    "code-tree": (_parse_code, codes.code_to_tree),
-    "match-code": (_parse_matching, codes.matching_to_code),
-    "code-match": (_parse_code, codes.code_to_matching),
+    "code-corr": (_parse_code, _code_corr),
+    "trapezoidal": (_parse_word_or_code, _trapezoidal),
 }
 
 
-def _code_corr(code):
-    if not code:
-        _fail("empty code")
-    letter = code[0][0]
-    if letter in "RL":
-        return codes.treecode_to_matchcode(code)
-    return codes.matchcode_to_treecode(code)
-
-
 def cmd_map(args) -> int:
-    text = sys.stdin.read()
-    if args.which in MAPS:
-        parse, fn = MAPS[args.which]
-        result = fn(parse(text))
-    elif args.which == "code-corr":
-        result = _code_corr(_parse_code(text))
-    elif args.which == "trapezoidal":
-        obj = _parse_word_or_code(text)
-        result = codes.code_to_trapezoidal(obj) if obj and isinstance(obj[0], tuple) else codes.trapezoidal_to_code(obj)
-    else:
-        _fail(f"unknown map {args.which!r}")
-    _emit(result, args.format)
+    parse, fn = MAPS[args.which]
+    _emit(fn(parse(sys.stdin.read())), args.format)
     return 0
 
 
@@ -232,57 +229,39 @@ def cmd_map(args) -> int:
 # stats
 
 
-def _tree_stat(stat):
-    if stat == "kv":
-        return lambda t: len(tree_core.klazar_violators(t))
-    if stat == "bad":
-        return lambda t: len(tree_core.bad_vertices(t))
-    if stat == "reverse-bad":
-        return lambda t: len(tree_core.reverse_bad_vertices(t))
-    if stat == "leaves":
-        return lambda t: tree_core.tree_stats(t).leaves
-    return None
+def _edge_class_sizes(m):
+    ec = classify_edges(m)
+    return (len(ec.uplines), len(ec.downlines), len(ec.verticals))
 
 
-def _matching_stat(stat):
-    if stat == "uplines":
-        return lambda m: len(uplines(m))
-    if stat == "verticals":
-        return lambda m: len(classify_edges(m).verticals)
-    if stat == "odd-to-even":
-        return lambda m: len(weak_downlines(m))
-    if stat == "joint-upline-downline-vertical":
-        def joint(m):
-            ec = classify_edges(m)
-            return (len(ec.uplines), len(ec.downlines), len(ec.verticals))
-        return joint
-    return None
-
-
-def _word_stat(stat):
-    if stat == "even-odd-multiplicity":
-        return lambda w: codes.word_parity_stats(w)[0]
-    if stat == "odd-odd-multiplicity":
-        return lambda w: codes.word_parity_stats(w)[1]
-    if stat == "parity-joint":
-        return lambda w: codes.word_parity_stats(w)
-    return None
+# kind -> stat -> statistic; each kind's objects come from ENUM_KINDS
+STATS = {
+    "trees": {
+        "kv": lambda t: len(tree_core.klazar_violators(t)),
+        "bad": lambda t: len(tree_core.bad_vertices(t)),
+        "reverse-bad": lambda t: len(tree_core.reverse_bad_vertices(t)),
+        "leaves": lambda t: tree_core.tree_stats(t).leaves,
+    },
+    "matchings": {
+        "uplines": lambda m: len(uplines(m)),
+        "verticals": lambda m: len(classify_edges(m).verticals),
+        "odd-to-even": lambda m: len(weak_downlines(m)),
+        "joint-upline-downline-vertical": _edge_class_sizes,
+    },
+    "words": {
+        "even-odd-multiplicity": lambda w: codes.word_parity_stats(w)[0],
+        "odd-odd-multiplicity": lambda w: codes.word_parity_stats(w)[1],
+        "parity-joint": lambda w: codes.word_parity_stats(w),
+    },
+}
 
 
 def cmd_stats(args) -> int:
     _guard(args.n, ENUM_GUARD, args.force)
-    pools = {
-        "trees": (tree_core.enumerate_increasing_trees, _tree_stat),
-        "matchings": (matching_core.enumerate_matchings, _matching_stat),
-        "words": (codes.enumerate_words, _word_stat),
-    }
-    if args.kind not in pools:
-        _fail(f"unknown kind {args.kind!r}")
-    enum, lookup = pools[args.kind]
-    fn = lookup(args.stat)
+    fn = STATS[args.kind].get(args.stat)
     if fn is None:
         _fail(f"statistic {args.stat!r} is not defined for kind {args.kind!r}")
-    dist = Counter(fn(obj) for obj in enum(args.n))
+    dist = Counter(fn(obj) for obj in ENUM_KINDS[args.kind](args.n))
     total = sum(dist.values())
     items = sorted(dist.items())
     if args.format == "json":
@@ -302,372 +281,6 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-REFERENCE_ROWS = {
-    1: [1],
-    2: [2, 1],
-    3: [4, 10, 1],
-    4: [8, 60, 36, 1],
-    5: [16, 296, 516, 116, 1],
-    7: [64, 5664, 42960, 64240, 21120, 1086, 1],
-}
-ROW6_DERIVED = [32, 1328, 5168, 3508, 358, 1]
-
-
-def _interior(t: Tree):
-    return [v for v in range(1, len(t.kids)) if t.kids[v]]
-
-
-def check_eq1(max_n):
-    for n in range(max_n + 1):
-        want = counting.odd_double_factorial(2 * n - 1)
-        got = {
-            "trees": sum(1 for _ in tree_core.enumerate_increasing_trees(n)),
-            "matchings": sum(1 for _ in matching_core.enumerate_matchings(n)),
-            "tree-codes": sum(1 for _ in codes.enumerate_tree_codes(n)),
-            "words": sum(1 for _ in codes.enumerate_words(n)),
-        }
-        for kind, c in got.items():
-            if c != want:
-                return False, {"n": n, "kind": kind, "count": c, "expected": want}, []
-    return True, None, []
-
-
-def check_eq3(max_n):
-    for n in range(max_n + 1):
-        want = counting.odd_double_factorial(2 * n - 1)
-        total = sum(
-            2 ** len(_interior(t))
-            for t in tree_core.enumerate_increasing_trees(n)
-            if not tree_core.klazar_violators(t)
-        )
-        if total != want:
-            return False, {"n": n, "sum": total, "expected": want}, []
-        if n >= 1:
-            ws = tree_core.klazar_weighted_sum(n)
-            if ws != want:
-                return False, {"n": n, "weighted_sum": ws, "expected": want}, []
-    return True, None, []
-
-
-def check_eq2_vs_enum(max_n):
-    notes = ["NOTE: the radicand denominator is 2-e^x; the sometimes-quoted "
-             "variant 2-x does not reproduce the sequence"]
-    w = counting.w12_sequence(max_n)
-    gf = series.gf_w12(max_n)
-    for n in range(max_n + 1):
-        klazar = sum(
-            1 for t in tree_core.enumerate_increasing_trees(n) if not tree_core.klazar_violators(t)
-        )
-        values = {
-            "recurrence": w[n],
-            "enumeration": klazar,
-            "formula": counting.no_upline_count(n),
-            "series": gf.scalar(n),
-        }
-        if len(set(values.values())) != 1:
-            return False, {"n": n, **{k: int(v) for k, v in values.items()}}, notes
-    return True, None, notes
-
-
-def check_theorem2(max_n):
-    notes = []
-    gf = series.gf_Fstarstar(max_n)
-    for n in range(1, max_n + 1):
-        dist = counting.bad_vertex_distribution(n)
-        coeff = {l: int(c) for (l,), c in gf.coefficient(n).items()}
-        if dist != coeff:
-            return False, {"n": n, "tally": dist, "series": coeff}, notes
-        if n in REFERENCE_ROWS:
-            row = [dist.get(l, 0) for l in range(1, n + 1)]
-            if row != REFERENCE_ROWS[n]:
-                return False, {"n": n, "row": row, "expected": REFERENCE_ROWS[n]}, notes
-        if n == 6:
-            row = [dist.get(l, 0) for l in range(1, 7)]
-            if row != ROW6_DERIVED:
-                return False, {"n": 6, "row": row, "expected": ROW6_DERIVED}, notes
-            notes.append(
-                "NOTE: enumeration and the closed form agree on a(6,2)=1328 and "
-                "a(6,3)=5168; a sometimes-quoted row has 128 (a dropped digit) "
-                "and 5158 there. Repairing 128 to 1338 alone also restores the "
-                "row sum 10395 = 11!! but contradicts both routes."
-            )
-    return True, None, notes
-
-
-def check_theorem3(max_n):
-    table = counting.refined_tree_counts(max_n)
-    gf = series.gf_trivariate(max_n)
-    for n in range(1, max_n + 1):
-        tally = Counter()
-        for t in tree_core.enumerate_increasing_trees(n):
-            s = tree_core.tree_stats(t)
-            tally[(len(s.klazar_violators), s.non_dt_leaves)] += 1
-        from_table = {(i, j): v for (nn, i, j), v in table.entries.items() if nn == n}
-        if dict(tally) != from_table:
-            return False, {"n": n, "tally": _kv_list(tally), "recurrence": _kv_list(from_table)}, []
-        coeff = {k: int(c) for k, c in gf.coefficient(n).items()}
-        if dict(tally) != coeff:
-            return False, {"n": n, "tally": _kv_list(tally), "series": _kv_list(coeff)}, []
-    return True, None, []
-
-
-def check_quadrivariate(max_n):
-    table = counting.refined_tree_counts4(max_n)
-    for n in range(max_n + 1):
-        tally = Counter()
-        for t in tree_core.enumerate_increasing_trees(n):
-            s = tree_core.tree_stats(t)
-            tally[(len(s.klazar_violators), s.non_dt_leaves, s.leaves)] += 1
-        from_table = {k[1:]: v for k, v in table.entries.items() if k[0] == n}
-        if dict(tally) != from_table:
-            return False, {"n": n, "tally": _kv_list(tally), "recurrence": _kv_list(from_table)}, []
-    return True, None, []
-
-
-def _kv_list(d):
-    return [[list(k) if isinstance(k, tuple) else k, v] for k, v in sorted(d.items())]
-
-
-def _no_upline_tally(n):
-    """Tally no-upline diagrams by (#even-even pairs, largest such endpoint / 2)."""
-    tally = Counter()
-    for m in matching_core.enumerate_matchings(n):
-        if not uplines(m):
-            evens = [b for a, b in m.pairs() if a % 2 == 0 and b % 2 == 0]
-            tally[(len(evens), max(evens, default=0) // 2)] += 1
-    return tally
-
-
-def check_pm_formula(max_n):
-    for n in range(max_n + 1):
-        tally = _no_upline_tally(n)
-        for k in range(n // 2 + 1):
-            want = counting.no_upline_refined(n, k)
-            got = sum(v for (kk, _), v in tally.items() if kk == k)
-            if got != want:
-                return False, {"n": n, "k": k, "count": got, "formula": want}, []
-            for j in range(n + 1):
-                want2 = counting.no_upline_refined2(n, k, j)
-                got2 = tally.get((k, j), 0)
-                if got2 != want2:
-                    return False, {"n": n, "k": k, "j": j, "count": got2, "formula": want2}, []
-    return True, None, []
-
-
-def check_theorem8(max_n):
-    for n in range(max_n + 1):
-        for m in matching_core.enumerate_matchings(n):
-            if uplines(m):
-                continue
-            even_pm, odd_pm, sm, pm = matching_core.decompose_no_upline(m)
-            back = matching_core.compose_no_upline(even_pm, odd_pm, sm, pm)
-            if back != m:
-                return False, {"n": n, "matching": m.to_json(), "recomposed": back.to_json()}, []
-    return True, None, []
-
-
-def check_class_split(max_n):
-    for n in range(1, max_n + 1):
-        by_class = {1: [], 2: [], 3: []}
-        for m in matching_core.enumerate_matchings(n):
-            if not uplines(m):
-                by_class[matching_core.recurrence_class(m)].append(m)
-        t1, t2, t3 = counting.eq4_terms(n)
-        sizes = (len(by_class[1]), len(by_class[2]), len(by_class[3]))
-        if sizes != (t1, t2, t3):
-            return False, {"n": n, "sizes": list(sizes), "terms": [t1, t2, t3]}, []
-        for m in by_class[2]:
-            small, i = matching_core.class2_reduce(m)
-            if matching_core.class2_expand(small, i) != m:
-                return False, {"n": n, "matching": m.to_json(), "class": 2}, []
-        for m in by_class[3]:
-            small, X = matching_core.class3_reduce(m)
-            if matching_core.class3_expand(small, X) != m:
-                return False, {"n": n, "matching": m.to_json(), "class": 3}, []
-    return True, None, []
-
-
-def check_phi(max_n):
-    for n in range(max_n + 1):
-        seen = set()
-        trees = 0
-        for t in tree_core.enumerate_increasing_trees(n):
-            trees += 1
-            if tree_core.klazar_violators(t):
-                continue
-            rb = len(tree_core.reverse_bad_vertices(t))
-            for r in range(len(_interior(t)) + 1):
-                for marks in combinations(_interior(t), r):
-                    mt = MarkedTree(t, frozenset(marks))
-                    img = bijections.phi(mt)
-                    ok = (
-                        set(tree_core.klazar_violators(img)) == set(marks)
-                        and len(tree_core.reverse_bad_vertices(img)) == rb
-                        and bijections.phi_inverse(img) == mt
-                        and img not in seen
-                    )
-                    if not ok:
-                        return False, {"n": n, "tree": tree_core.tree_to_json(t), "marks": sorted(marks)}, []
-                    seen.add(img)
-        if len(seen) != trees:
-            return False, {"n": n, "images": len(seen), "trees": trees}, []
-    return True, None, []
-
-
-def check_sigma(max_n):
-    notes = ["NOTE: every build sequence starts with (R,0); a sometimes-quoted "
-             "variant starting (R,1) violates the step-1 rule"]
-    for n in range(max_n + 1):
-        for c in codes.enumerate_tree_codes(n):
-            t = bijections.sigma_inverse(c)
-            if bijections.sigma(t) != c:
-                return False, {"n": n, "code": [list(e) for e in c]}, notes
-            if bijections.violators_from_treecode(c) != set(tree_core.violator_partners(t).items()):
-                return False, {"n": n, "code": [list(e) for e in c],
-                               "tree": tree_core.tree_to_json(t)}, notes
-    return True, None, notes
-
-
-def check_tau(max_n):
-    for n in range(max_n + 1):
-        for c in codes.enumerate_match_codes(n):
-            m = bijections.tau(c)
-            if bijections.tau_inverse(m) != c:
-                return False, {"n": n, "code": [list(e) for e in c]}, []
-            if bijections.uplines_from_matchcode(c) != set(uplines(m)):
-                return False, {"n": n, "code": [list(e) for e in c], "matching": m.to_json()}, []
-    return True, None, []
-
-
-def check_Phi_equality(max_n):
-    for n in range(max_n + 1):
-        seen = set()
-        for t in tree_core.enumerate_increasing_trees(n):
-            m1 = bijections.Phi_recursive(t)
-            m2 = bijections.Phi_explicit(t)
-            if m1 != m2:
-                return False, {"n": n, "tree": tree_core.tree_to_json(t),
-                               "recursive": m1.to_json(), "explicit": m2.to_json()}, []
-            if set(uplines(m1)) != set(tree_core.violator_partners(t).items()):
-                return False, {"n": n, "tree": tree_core.tree_to_json(t), "matching": m1.to_json()}, []
-            seen.add(m1)
-        if len(seen) != counting.odd_double_factorial(2 * n - 1):
-            return False, {"n": n, "images": len(seen)}, []
-    return True, None, []
-
-
-def check_cor13(max_n):
-    gf = series.gf_kv(max_n)
-    for n in range(max_n + 1):
-        d1 = Counter(len(tree_core.klazar_violators(t)) for t in tree_core.enumerate_increasing_trees(n))
-        d2 = Counter(len(uplines(m)) for m in matching_core.enumerate_matchings(n))
-        d3 = Counter(codes.word_parity_stats(w)[0] for w in codes.enumerate_words(n))
-        if not d1 == d2 == d3:
-            return False, {"n": n, "violators": _kv_list(d1), "uplines": _kv_list(d2),
-                           "word-evens": _kv_list(d3)}, []
-        coeff = {(k,): Fraction(v) for k, v in d1.items()}
-        if coeff != gf.coefficient(n):
-            return False, {"n": n, "tally": _kv_list(d1)}, []
-    return True, None, []
-
-
-def check_joint_dist(max_n):
-    for n in range(max_n + 1):
-        images = set()
-        for c in codes.enumerate_match_codes(n):
-            images.add(bijections.tau_variant(c))
-        if len(images) != counting.odd_double_factorial(2 * n - 1):
-            return False, {"n": n, "images": len(images)}, []
-        word_stats = Counter(codes.word_parity_stats(w) for w in codes.enumerate_words(n))
-        match_stats = Counter()
-        for m in matching_core.enumerate_matchings(n):
-            e2o = sum(1 for a, b in m.pairs() if a % 2 == 0 and b % 2 == 1)
-            o2e = sum(1 for a, b in m.pairs() if a % 2 == 1 and b % 2 == 0)
-            match_stats[(e2o, o2e)] += 1
-        if word_stats != match_stats:
-            return False, {"n": n, "words": _kv_list(word_stats), "matchings": _kv_list(match_stats)}, []
-    return True, None, []
-
-
-def check_vertical_gf(max_n):
-    gv = series.gf_vertical(max_n)
-    ge = series.gf_even_odd(max_n)
-    for n in range(max_n + 1):
-        vert = Counter()
-        eo = Counter()
-        for m in matching_core.enumerate_matchings(n):
-            vert[(len(classify_edges(m).verticals),)] += 1
-            e2o = sum(1 for a, b in m.pairs() if a % 2 == 0 and b % 2 == 1)
-            if e2o == 0:
-                eo[(len(weak_downlines(m)),)] += 1
-        if {k: Fraction(v) for k, v in vert.items()} != gv.coefficient(n):
-            return False, {"n": n, "stat": "verticals", "tally": _kv_list(vert)}, []
-        if {k: Fraction(v) for k, v in eo.items()} != ge.coefficient(n):
-            return False, {"n": n, "stat": "odd-to-even", "tally": _kv_list(eo)}, []
-    return True, None, []
-
-
-def check_stirling_bijection(max_n):
-    for n in range(max_n + 1):
-        for k in range(n + 1):
-            sms = list(matching_core.enumerate_stirling_matchings(n, k))
-            if len(sms) != counting.stirling2(n, k):
-                return False, {"n": n, "k": k, "count": len(sms)}, []
-            parts = {matching_core.stirling_to_partition(sm) for sm in sms}
-            if len(parts) != len(sms):
-                return False, {"n": n, "k": k, "distinct_partitions": len(parts)}, []
-            for p in parts:
-                if len(p) != k or sorted(x for b in p for x in b) != list(range(1, n + 1)):
-                    return False, {"n": n, "k": k, "partition": [list(b) for b in p]}, []
-    for k in range(1, 5):
-        for n in range(5):
-            pms = sum(1 for _ in matching_core.enumerate_power_matchings(k, n))
-            if pms != k**n:
-                return False, {"k": k, "n": n, "count": pms}, []
-    return True, None, []
-
-
-def check_code_roundtrips(max_n):
-    for n in range(max_n + 1):
-        trees = tree_core.enumerate_increasing_trees(n)
-        matchings = matching_core.enumerate_matchings(n)
-        for w, t, m in zip(codes.enumerate_words(n), trees, matchings):
-            tc = codes.trapezoidal_to_code(w)
-            mc = codes.treecode_to_matchcode(tc)
-            ok = (
-                codes.code_to_tree(tc) == t
-                and codes.tree_to_code(t) == tc
-                and codes.code_to_matching(mc) == m
-                and codes.matching_to_code(m) == mc
-                and codes.matchcode_to_treecode(mc) == tc
-                and codes.code_to_trapezoidal(tc) == w
-            )
-            if not ok:
-                return False, {"n": n, "word": list(w)}, []
-    return True, None, []
-
-
-CHECKS = {
-    "eq1": (check_eq1, 6),
-    "eq3": (check_eq3, 6),
-    "eq2-vs-enum": (check_eq2_vs_enum, 6),
-    "theorem2": (check_theorem2, 6),
-    "theorem3": (check_theorem3, 5),
-    "quadrivariate": (check_quadrivariate, 5),
-    "pm-formula": (check_pm_formula, 6),
-    "theorem8": (check_theorem8, 6),
-    "class-split": (check_class_split, 6),
-    "phi": (check_phi, 5),
-    "sigma": (check_sigma, 5),
-    "tau": (check_tau, 5),
-    "Phi-equality": (check_Phi_equality, 5),
-    "cor13": (check_cor13, 6),
-    "joint-dist": (check_joint_dist, 5),
-    "vertical-gf": (check_vertical_gf, 6),
-    "stirling-bijection": (check_stirling_bijection, 8),
-    "code-roundtrips": (check_code_roundtrips, 5),
-}
-
 
 def cmd_verify(args) -> int:
     names = list(CHECKS) if args.check == "all" else [args.check]
@@ -677,7 +290,6 @@ def cmd_verify(args) -> int:
     if args.max_n is not None:
         _guard(args.max_n, VERIFY_GUARD, args.force, what="max-n")
     failures = 0
-    reports = []
     for name in names:
         fn, default_n = CHECKS[name]
         max_n = args.max_n if args.max_n is not None else default_n
@@ -694,7 +306,6 @@ def cmd_verify(args) -> int:
             report["counterexample"] = counterexample
         if notes:
             report["notes"] = notes
-        reports.append(report)
         if args.format in ("json", "jsonl"):
             print(json.dumps(report))
         else:
@@ -921,13 +532,12 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_enumerate)
 
     m = sub.add_parser("map", help="apply a bijection to the object on stdin")
-    m.add_argument("--which", required=True,
-                   choices=sorted(MAPS) + ["code-corr", "trapezoidal"])
+    m.add_argument("--which", required=True, choices=list(MAPS))
     m.add_argument("--format", choices=["json", "text"], default="json")
     m.set_defaults(func=cmd_map)
 
     s = sub.add_parser("stats", help="distribution of a statistic over a family")
-    s.add_argument("--kind", required=True, choices=["trees", "matchings", "words"])
+    s.add_argument("--kind", required=True, choices=list(STATS))
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--stat", required=True)
     s.add_argument("--format", choices=["json", "text"], default="text")

@@ -100,7 +100,7 @@ def matching_to_code(m: Matching):
 
 
 def treecode_to_matchcode(code):
-    return validate_match_code(_swap_letters(validate_tree_code(code)))
+    return _swap_letters(validate_tree_code(code))
 
 
 def _swap_letters(code):
@@ -110,19 +110,16 @@ def _swap_letters(code):
 
 
 def matchcode_to_treecode(code):
-    return validate_tree_code(("R", 0 if i == k else i) if Y == "B" else ("L", i)
-                              for k, (Y, i) in enumerate(validate_match_code(code), start=1))
+    return tuple(("R", 0 if i == k else i) if Y == "B" else ("L", i)
+                 for k, (Y, i) in enumerate(validate_match_code(code), start=1))
 
 
 def code_to_trapezoidal(code):
-    code = validate_tree_code(code)
-    return validate_word(
-        tuple(2 * i if X == "L" else 2 * i + 1 for X, i in code)
-    )
+    return tuple(2 * i if X == "L" else 2 * i + 1 for X, i in validate_tree_code(code))
 
 
 def trapezoidal_to_code(word):
-    return validate_tree_code(_word_to_code(validate_word(word)))
+    return _word_to_code(validate_word(word))
 
 
 def _word_to_code(word):

@@ -192,9 +192,10 @@ def uplines(m: Matching) -> frozenset:
 
 
 def weak_downlines(m: Matching) -> frozenset:
-    """Verticals and strict downlines together, as (top pos, bottom pos)."""
-    c = classify_edges(m)
-    return c.downlines | frozenset((i, i) for i in c.verticals)
+    """Verticals and strict downlines together, as (top pos, bottom pos):
+    top i starts one iff partner[2i-1] is even and > 2i-1."""
+    p = m.partner
+    return frozenset(((x + 1) // 2, p[x] // 2) for x in range(1, len(p), 2) if p[x] % 2 == 0 and p[x] > x)
 
 
 # ---------------------------------------------------------------------------

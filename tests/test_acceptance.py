@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import bruteforce as bf
-from klazar import cli
+from klazar import checks
 from klazar.codes import enumerate_match_codes, enumerate_tree_codes, enumerate_words
 from klazar.counting import (
     bad_vertex_distribution,
@@ -74,21 +74,21 @@ def test_criterion_01_four_families_share_their_cardinality():
 
 
 def test_criterion_02_node_weighted_sums_hit_the_double_factorial():
-    _passes(cli.check_eq3, 7)
+    _passes(checks.check_eq3, 7)
 
 
 def test_criterion_03_violator_free_counts_agree_four_ways():
     assert w12_sequence(7) == [1, 1, 2, 7, 35, 226, 1787, 16717]
     assert [no_upline_count(n) for n in range(8)] == w12_sequence(7)
-    _passes(cli.check_eq2_vs_enum, 7)
+    _passes(checks.check_eq2_vs_enum, 7)
 
 
 def test_criterion_04_phi_matches_marks_to_violators():
-    _passes(cli.check_phi, 7)
+    _passes(checks.check_phi, 7)
 
 
 def test_criterion_05_bad_vertex_rows():
-    notes = _passes(cli.check_theorem2, 7)
+    notes = _passes(checks.check_theorem2, 7)
     # two digits of the sixth row are commonly misquoted; both independent
     # routes give the row below, and the check must say so in its notes
     dist6 = bad_vertex_distribution(6)
@@ -101,13 +101,13 @@ def test_criterion_05_bad_vertex_rows():
 
 
 def test_criterion_06_refined_tree_tables_match_tallies():
-    _passes(cli.check_theorem3, 6)
-    _passes(cli.check_quadrivariate, 6)
+    _passes(checks.check_theorem3, 6)
+    _passes(checks.check_quadrivariate, 6)
 
 
 def test_criterion_07_no_upline_formulas_and_decomposition():
-    _passes(cli.check_pm_formula, 7)
-    _passes(cli.check_theorem8, 7)
+    _passes(checks.check_pm_formula, 7)
+    _passes(checks.check_theorem8, 7)
 
 
 def test_criterion_08_stirling_and_power_diagrams():
@@ -131,22 +131,22 @@ def test_criterion_08_stirling_and_power_diagrams():
 
 
 def test_criterion_09_recurrence_classes_partition_and_reduce():
-    _passes(cli.check_class_split, 7)
+    _passes(checks.check_class_split, 7)
 
 
 def test_criterion_10_tree_matching_correspondence():
-    _passes(cli.check_Phi_equality, 7)
-    _passes(cli.check_sigma, 7)
-    _passes(cli.check_tau, 7)
+    _passes(checks.check_Phi_equality, 7)
+    _passes(checks.check_sigma, 7)
+    _passes(checks.check_tau, 7)
 
 
 def test_criterion_11_three_statistics_one_distribution():
-    _passes(cli.check_cor13, 7)
+    _passes(checks.check_cor13, 7)
 
 
 def test_criterion_12_joint_parity_and_vertical_distributions():
-    _passes(cli.check_joint_dist, 6)
-    _passes(cli.check_vertical_gf, 6)
+    _passes(checks.check_joint_dist, 6)
+    _passes(checks.check_vertical_gf, 6)
 
 
 # --- criterion 13: the series engine against itself ------------------------

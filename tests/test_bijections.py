@@ -21,13 +21,19 @@ from klazar.bijections import (
 )
 from klazar.codes import (
     code_to_matching,
+    code_to_trapezoidal,
     code_to_tree,
     enumerate_match_codes,
     enumerate_tree_codes,
+    enumerate_words,
+    matchcode_to_treecode,
     matching_to_code,
     trapezoidal_to_code,
     tree_to_code,
     treecode_to_matchcode,
+    validate_match_code,
+    validate_tree_code,
+    validate_word,
 )
 from klazar.matching_core import Matching, enumerate_matchings, matching_from_text, shift_S, uplines
 from klazar.tree_core import (
@@ -255,6 +261,24 @@ def test_round_trips_on_large_random_trees():
         assert phi(phi_inverse(t)) == t
         assert Phi_recursive(t) == Phi_explicit(t)
         assert violators_from_treecode(sigma(t)) == set(violator_partners(t).items())
+
+
+def test_maps_that_validate_only_their_input_return_valid_objects():
+    # the letter swaps, the word maps and sigma trust their validated
+    # input; every word up to n = 6, then 20 seeded words at n = 200
+    rng = random.Random(200)
+    large = ([rng.randint(1, 2 * k - 1) for k in range(1, 201)] for _ in range(20))
+    for w in chain((w for n in range(7) for w in enumerate_words(n)), large):
+        tc = trapezoidal_to_code(w)
+        mc = treecode_to_matchcode(tc)
+        back, word = matchcode_to_treecode(mc), code_to_trapezoidal(tc)
+        t = code_to_tree(tc)
+        sc, m = sigma(t), Phi_explicit(t)
+        assert validate_tree_code(tc) == tc and validate_match_code(mc) == mc
+        assert validate_tree_code(back) == back == tc
+        assert validate_word(word) == word == tuple(w)
+        assert validate_tree_code(sc) == sc
+        assert Matching.from_json(m.to_json()) == m
 
 
 def test_Phi_routes_agree_on_a_wide_shallow_tree():

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klazar import cli
+from klazar import checks, cli
 from klazar.codes import (
     code_to_matching,
     code_to_text,
@@ -549,6 +549,31 @@ def test_verify_fail_exits_nonzero(monkeypatch, capsys):
     doc = json.loads(out)
     assert doc["status"] == "FAIL"
     assert doc["counterexample"] == {"n": 3}
+
+
+CHECK_SIZES = [
+    ("eq1", 6), ("eq3", 6), ("eq2-vs-enum", 6), ("theorem2", 6), ("theorem3", 5),
+    ("quadrivariate", 5), ("pm-formula", 6), ("theorem8", 6), ("class-split", 6),
+    ("phi", 5), ("sigma", 5), ("tau", 5), ("Phi-equality", 5), ("cor13", 6),
+    ("joint-dist", 5), ("vertical-gf", 6), ("stirling-bijection", 8), ("code-roundtrips", 5),
+]
+
+
+def test_the_check_list_and_its_text_report_are_pinned(capsys):
+    assert cli.CHECKS is checks.CHECKS
+    assert [(name, n) for name, (_, n) in checks.CHECKS.items()] == CHECK_SIZES
+    code, out, _ = run(["verify", "--check", "all", "--max-n", "3"], capsys=capsys)
+    assert code == 0
+    lines = []
+    for name, _ in CHECK_SIZES:
+        lines.append(f"{name} (max_n=3): PASS  [t]")
+        if name == "eq2-vs-enum":
+            lines.append("  NOTE: the radicand denominator is 2-e^x; the sometimes-quoted "
+                         "variant 2-x does not reproduce the sequence")
+        if name == "sigma":
+            lines.append("  NOTE: every build sequence starts with (R,0); a sometimes-quoted "
+                         "variant starting (R,1) violates the step-1 rule")
+    assert re.sub(r"\[\d+\.\d\ds\]", "[t]", out).splitlines() == lines
 
 
 def test_verify_guard(monkeypatch, capsys):

@@ -127,15 +127,28 @@ def test_edge_classification_against_bruteforce():
             assert total == n, "every pair lands in exactly one class"
 
 
-def test_uplines_read_off_the_partner_table_agree_with_the_oracle():
+def seeded_matchings_at_n500():
+    """Every matching with n <= 6, then 20 seeded matchings at n = 500."""
     rng = random.Random(500)
-    small = (m for n in range(7) for m in enumerate_matchings(n))
+    small = [m for n in range(7) for m in enumerate_matchings(n)]
     large = [matching_from_code([("B", 1)] + [
         ("B", rng.randint(1, k)) if rng.random() < 0.5 else ("T", rng.randint(1, k - 1))
         for k in range(2, 501)]) for _ in range(20)]
+    return small, large
+
+
+def test_uplines_read_off_the_partner_table_agree_with_the_oracle():
+    small, large = seeded_matchings_at_n500()
     for m in [*small, *large]:
         assert uplines(m) == bf.bf_uplines(m.pairs())
     assert any(uplines(m) for m in large)
+
+
+def test_weak_downlines_read_off_the_partner_table_agree_with_the_oracle():
+    small, large = seeded_matchings_at_n500()
+    for m in [*small, *large]:
+        assert weak_downlines(m) == bf.bf_weak_downlines(m.pairs())
+    assert any(weak_downlines(m) for m in large)
 
 
 def test_edge_classes_by_hand():
