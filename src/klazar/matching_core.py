@@ -9,10 +9,11 @@ classification, the enlarge/prune elevator between sizes, the shift map
 S, the product decomposition of no-upline diagrams into arc matchings
 plus a Stirling and a power part, and the three-class split behind the
 size recurrence.  The elevator is one in-place kernel on a partner list
-(_enlarge, _prune), and the codings read each upline question off one
-entry of it: bottom b starts an upline iff partner[2b] is odd and > 2b;
-an upline ends at top i iff partner[2i-1] is even and < 2i-1; a weak
-downline hangs from top i iff partner[2i-1] is even and > 2i-1.
+(_enlarge, _prune) that enumeration, the codes and tau all walk, and
+the codings read each upline question off one entry of it: bottom b
+starts an upline iff partner[2b] is odd and > 2b; an upline ends at top
+i iff partner[2i-1] is even and < 2i-1; a weak downline hangs from top
+i iff partner[2i-1] is even and > 2i-1.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ class DotRef:
     def __post_init__(self):
         if self.row not in (TOP, BOT):
             raise ValueError(f"bad DotRef row {self.row!r}")
+        if type(self.pos) is not int:  # a bool would read as 0 or 1
+            raise ValueError(f"bad DotRef position {self.pos!r}")
 
     def number(self) -> int:
         return 2 * self.pos - 1 if self.row == TOP else 2 * self.pos
@@ -49,10 +52,9 @@ class DotRef:
 
     @staticmethod
     def from_json(obj) -> "DotRef":
-        if (not isinstance(obj, dict) or obj.get("row") not in (TOP, BOT)
-                or type(obj.get("pos")) is not int):
+        if not isinstance(obj, dict):
             raise ValueError(f"bad DotRef: {obj!r}")
-        return DotRef(obj["row"], obj["pos"])
+        return DotRef(obj.get("row"), obj.get("pos"))
 
 
 @dataclass(frozen=True)
@@ -257,28 +259,20 @@ def enumerate_matchings(n: int):
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
+    if n == 0:
+        yield EMPTY_MATCHING
+        return
     partner = [0]
 
     def rec(k):
-        if k > n:
-            yield Matching(tuple(partner))
-            return
-        t, b = 2 * k - 1, 2 * k
-        partner.extend((0, 0))
         for a in range(1, 2 * k):
-            if a == 1:
-                partner[t], partner[b] = b, t
+            # letter a names dot a - 1, except a = 1: the new pair, dot 2k
+            _enlarge(partner, a - 1 if a > 1 else 2 * k)
+            if k < n:
                 yield from rec(k + 1)
             else:
-                # a = 2i joins top dot i (number 2i-1), a = 2i+1 joins
-                # bottom dot i (number 2i); both are number a - 1
-                x = a - 1
-                y = partner[x]
-                partner[x], partner[t] = t, x
-                partner[y], partner[b] = b, y
-                yield from rec(k + 1)
-                partner[x], partner[y] = y, x
-        del partner[t:]
+                yield Matching(tuple(partner))
+            _prune(partner)
 
     yield from rec(1)
 
@@ -291,8 +285,8 @@ def shift_S(m: Matching, i: int) -> int:
     """Follow uplines from bottom position i; stop at the first position
     that starts no upline.  Bottom i starts one iff partner[2i] is odd
     and greater than 2i, and it leads to top (partner[2i] + 1) / 2."""
-    if not 1 <= i <= m.n:
-        raise ValueError(f"position {i} out of range")
+    if type(i) is not int or not 1 <= i <= m.n:
+        raise ValueError(f"position {i!r} out of range")
     return _shift(m.partner, i)
 
 
@@ -472,10 +466,11 @@ def stirling_to_partition(sm: StirlingMatching) -> tuple:
 # decomposition of no-upline diagrams (arc parts + Stirling part + power part)
 
 
-def _standardize(pairs, support):
-    """Rename the support to 1..2k by rank and re-express the pairs."""
-    rank = {x: r + 1 for r, x in enumerate(sorted(support))}
-    return Matching.from_pairs([(rank[a], rank[b]) for a, b in pairs])
+def _standardize(partner, support):
+    """Rename the support (ascending, closed under partner) to 1..2k by
+    rank and re-express the pairs."""
+    rank = {x: r for r, x in enumerate(support, 1)}
+    return Matching((0, *(rank[partner[x]] for x in support)))
 
 
 def decompose_no_upline(m: Matching):
@@ -491,34 +486,28 @@ def decompose_no_upline(m: Matching):
     a (2k+1, n-j) power matching whose phantom extra top dot sits at
     the far right.
     """
-    cls = classify_edges(m)
-    if cls.uplines:
+    if uplines(m):
         raise ValueError("diagram has an upline")
-    n = m.n
-    even_pairs = [(2 * a, 2 * b) for a, b in cls.bottom_arcs]
-    odd_pairs = [(2 * a - 1, 2 * b - 1) for a, b in cls.top_arcs]
-    k = len(even_pairs)
-    assert len(odd_pairs) == k
-    A = sorted(x for p in even_pairs for x in p)
-    B = sorted(x for p in odd_pairs for x in p)
-    even_pm = _standardize(even_pairs, A)
-    odd_pm = _standardize(odd_pairs, B)
+    n, p = m.n, m.partner
+    A = [x for x in range(2, 2 * n + 1, 2) if p[x] % 2 == 0]
+    B = [x for x in range(1, 2 * n, 2) if p[x] % 2]
+    k = len(A) // 2
+    assert len(B) == 2 * k
+    even_pm = _standardize(p, A)
+    odd_pm = _standardize(p, B)
     j = A[-1] // 2 if A else 0
 
-    lines = sorted(cls.downlines | {(i, i) for i in cls.verticals})
-    s_edges = {(t, b + 1) for t, b in lines if b <= j - 1}
-    stirling = StirlingMatching(j, frozenset(s_edges))
+    lines = weak_downlines(m)
+    s_edges = frozenset((t, b + 1) for t, b in lines if b < j)
+    stirling = StirlingMatching(j, s_edges)
     assert check_stirling(stirling) == 2 * k
 
     s_tops = {t for t, _ in s_edges}
     rest = [t for t in range(1, n + 1) if t not in s_tops]
-    idx = {t: r + 1 for r, t in enumerate(rest)}
-    p_edges = set()
-    for t, b in lines:
-        if b > j - 1:
-            assert b > j, "column j is always an arc bottom"
-            p_edges.add((idx[t], b - j))
-    power = PowerMatching(2 * k + 1 + (n - j), n - j, frozenset(p_edges))
+    idx = {t: r for r, t in enumerate(rest, 1)}
+    assert all(b != j for _, b in lines), "column j is always an arc bottom"
+    p_edges = frozenset((idx[t], b - j) for t, b in lines if b > j)
+    power = PowerMatching(2 * k + 1 + (n - j), n - j, p_edges)
     assert check_power(power) == 2 * k + 1
     return even_pm, odd_pm, stirling, power
 
@@ -629,33 +618,11 @@ def class3_reduce(m: Matching):
     i = (p_top + 1) // 2
     j = p_bot // 2
     assert i > j
-    mids = sorted(v for v in classify_edges(m).verticals if j < v < i)
-    X = frozenset({j, i, *mids})
-
-    dead_top = {n, i, *mids}
-    dead_bot = {n, j, *mids}
-    top_rank = {}
-    bot_rank = {}
-    for pos in range(1, n + 1):
-        if pos not in dead_top:
-            top_rank[pos] = len(top_rank) + 1
-        if pos not in dead_bot:
-            bot_rank[pos] = len(bot_rank) + 1
-
-    def renumber(x):
-        if x % 2:
-            return 2 * top_rank[(x + 1) // 2] - 1
-        return 2 * bot_rank[x // 2]
-
-    dead = {2 * n - 1, 2 * n, p_top, p_bot}
-    dead.update(2 * v - 1 for v in mids)
-    dead.update(2 * v for v in mids)
-    pairs = [
-        (renumber(a), renumber(b)) for a, b in m.pairs()
-        if a not in dead and b not in dead
-    ]
-    out = Matching.from_pairs(pairs, n=n - 2 - len(mids))
-    return out, X
+    mids = [v for v in range(j + 1, i) if m.partner[2 * v - 1] == 2 * v]
+    old = _class3_dots(n, j, i, mids)
+    new = {x: y for y, x in enumerate(old)}
+    out = Matching(tuple(new[m.partner[x]] for x in old))
+    return out, frozenset({j, i, *mids})
 
 
 def class3_expand(m: Matching, X) -> Matching:
@@ -668,21 +635,25 @@ def class3_expand(m: Matching, X) -> Matching:
     if X[-1] > n - 1 or X[0] < 1:
         raise ValueError(f"X out of range for target size {n}")
     j, i, mids = X[0], X[-1], X[1:-1]
+    if len(set(X)) != len(X):
+        raise ValueError(f"X repeats a position: {X}")
 
-    dead_top = {n, i, *mids}
-    dead_bot = {n, j, *mids}
-    top_cols = [pos for pos in range(1, n + 1) if pos not in dead_top]
-    bot_cols = [pos for pos in range(1, n + 1) if pos not in dead_bot]
-
-    def renumber(x):
-        if x % 2:
-            return 2 * top_cols[(x + 1) // 2 - 1] - 1
-        return 2 * bot_cols[x // 2 - 1]
-
-    pairs = [(renumber(a), renumber(b)) for a, b in m.pairs()]
-    pairs.append((2 * i - 1, 2 * n - 1))
-    pairs.append((2 * j, 2 * n))
-    pairs.extend((2 * v - 1, 2 * v) for v in mids)
-    out = Matching.from_pairs(pairs, n=n)
+    partner = [0] * (2 * n + 1)
+    old = _class3_dots(n, j, i, mids)
+    for y, x in enumerate(old):
+        partner[x] = old[m.partner[y]]
+    partner[2 * i - 1], partner[2 * n - 1] = 2 * n - 1, 2 * i - 1
+    partner[2 * j], partner[2 * n] = 2 * n, 2 * j
+    for v in mids:
+        partner[2 * v - 1], partner[2 * v] = 2 * v, 2 * v - 1
+    out = Matching(tuple(partner))
     assert recurrence_class(out) == 3
     return out
+
+
+def _class3_dots(n, j, i, mids):
+    """Old numbers of the dots class3_reduce keeps, listed by new number
+    (entry 0 is 0): tops skip columns n, i, mids; bottoms n, j, mids."""
+    tops = [2 * c - 1 for c in range(1, n) if c != i and c not in mids]
+    bots = [2 * c for c in range(1, n) if c != j and c not in mids]
+    return [0, *(x for pair in zip(tops, bots) for x in pair)]

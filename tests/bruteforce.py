@@ -180,6 +180,30 @@ def bf_tau_variant(code):
     return pairs
 
 
+def bf_class3_reduce(pairs, n):
+    """The class-3 reduction on plain pairs of a size-n diagram: i is the
+    top of the partner of 2n - 1, j the bottom of the partner of 2n, and
+    X holds j, i and every vertical column strictly between them.  The
+    dots of those columns' rows (top for i, bottom for j, both for the
+    verticals), the two last dots and their partners go; the survivors
+    of each row are renumbered by rank.  Returns (pairs, X)."""
+    pairs = {tuple(sorted(p)) for p in pairs}
+    partner = {a: b for a, b in pairs} | {b: a for a, b in pairs}
+    i, j = (partner[2 * n - 1] + 1) // 2, partner[2 * n] // 2
+    mids = {v for v in range(j + 1, i) if (2 * v - 1, 2 * v) in pairs}
+    dead = {2 * n - 1, 2 * n, partner[2 * n - 1], partner[2 * n]}
+    dead |= {2 * v - 1 for v in mids} | {2 * v for v in mids}
+    tops = [x for x in range(1, 2 * n + 1, 2) if x not in dead]
+    bots = [x for x in range(2, 2 * n + 1, 2) if x not in dead]
+    rank = {x: 2 * r - 1 for r, x in enumerate(tops, 1)}
+    rank.update({x: 2 * r for r, x in enumerate(bots, 1)})
+    small = {
+        tuple(sorted((rank[a], rank[b])))
+        for a, b in pairs if a not in dead and b not in dead
+    }
+    return small, {j, i} | mids
+
+
 # ---------------------------------------------------------------------------
 # trees (JSON form)
 

@@ -136,20 +136,17 @@ def test_object_code_roundtrips(w):
 
 
 def test_all_three_families_align_exhaustively():
-    for n in range(5):
+    for n in range(7):
         ws = list(enumerate_words(n))
         tcs = list(enumerate_tree_codes(n))
         mcs = list(enumerate_match_codes(n))
         assert len(ws) == len(tcs) == len(mcs) == bf.bf_odd_double_factorial(2 * n - 1)
-        trees = set()
-        matchings = set()
         for w, tc, mc in zip(ws, tcs, mcs):
             assert code_to_trapezoidal(tc) == w
             assert treecode_to_matchcode(tc) == mc
-            trees.add(code_to_tree(tc))
-            matchings.add(code_to_matching(mc))
-        assert trees == set(enumerate_increasing_trees(n))
-        assert matchings == set(enumerate_matchings(n))
+        # the k-th tree and the k-th matching are built from the k-th code
+        assert list(enumerate_increasing_trees(n)) == [code_to_tree(tc) for tc in tcs]
+        assert list(enumerate_matchings(n)) == [code_to_matching(mc) for mc in mcs]
 
 
 def test_word_order_is_lexicographic():

@@ -199,6 +199,17 @@ def test_enlarge_rejects_out_of_range():
         enlarge(EMPTY_MATCHING, DotRef("top", 1))
     with pytest.raises(ValueError):
         enlarge(EMPTY_MATCHING, DotRef("bot", 2))
+    # a position that is not an int: True must not read as 1, nor 1.5 reach
+    # the partner table as an index
+    m = matching_from_text("1 2/3 4")
+    with pytest.raises(ValueError):
+        enlarge(EMPTY_MATCHING, DotRef("bot", True))
+    with pytest.raises(ValueError):
+        enlarge(m, DotRef("top", 1.5))
+    with pytest.raises(ValueError):
+        class2_expand(m, True)
+    with pytest.raises(ValueError):
+        shift_S(m, True)
 
 
 @given(match_codes())
@@ -348,3 +359,14 @@ def test_recurrence_classes_partition():
             elif c == 3:
                 small, X = class3_reduce(m)
                 assert class3_expand(small, X) == m
+
+
+def test_class3_reduce_agrees_with_the_oracle():
+    seen = 0
+    for n in range(1, 7):
+        for m in no_upline(n):
+            if recurrence_class(m) == 3:
+                small, X = class3_reduce(m)
+                assert (set(small.pairs()), X) == bf.bf_class3_reduce(m.pairs(), n)
+                seen += 1
+    assert seen > 0
