@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -282,6 +283,23 @@ def cmd_stats(args) -> int:
 # verify
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_check(name, max_n):
+    """Run CHECKS[name] -> (passed, counterexample, notes, elapsed); an
+    exception inside the check makes it FAIL with the error as counterexample."""
+    start = time.perf_counter()
+    try:
+        passed, counterexample, notes = CHECKS[name][0](max_n)
+    except Exception as exc:
+        passed, counterexample, notes = False, {"error": f"{type(exc).__name__}: {exc}"}, []
+    return passed, counterexample, notes, time.perf_counter() - start
+
+
 def cmd_verify(args) -> int:
     names = list(CHECKS) if args.check == "all" else [args.check]
     for name in names:
@@ -289,13 +307,25 @@ def cmd_verify(args) -> int:
             _fail(f"unknown check {name!r}; available: {', '.join(CHECKS)}, all")
     if args.max_n is not None:
         _guard(args.max_n, VERIFY_GUARD, args.force, what="max-n")
+    sizes = [args.max_n if args.max_n is not None else CHECKS[name][1] for name in names]
+    workers = min(len(names), _available_cpus())
+    if workers > 1:
+        # imported here, so that importing klazar.cli stays cheap
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # a forked worker looks each name up in its copy of this process's
+            # CHECKS, so a patched or wrapped entry runs as it would here
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                return _print_reports(names, sizes, pool.map(_run_check, names, sizes), args.format)
+    return _print_reports(names, sizes, map(_run_check, names, sizes), args.format)
+
+
+def _print_reports(names, sizes, results, fmt) -> int:
+    """Print each check's report as soon as it and every earlier check are done."""
     failures = 0
-    for name in names:
-        fn, default_n = CHECKS[name]
-        max_n = args.max_n if args.max_n is not None else default_n
-        start = time.perf_counter()
-        passed, counterexample, notes = fn(max_n)
-        elapsed = time.perf_counter() - start
+    for name, max_n, (passed, counterexample, notes, elapsed) in zip(names, sizes, results):
         report = {
             "check": name,
             "max_n": max_n,
@@ -306,7 +336,7 @@ def cmd_verify(args) -> int:
             report["counterexample"] = counterexample
         if notes:
             report["notes"] = notes
-        if args.format in ("json", "jsonl"):
+        if fmt in ("json", "jsonl"):
             print(json.dumps(report))
         else:
             print(f"{name} (max_n={max_n}): {report['status']}  [{elapsed:.2f}s]")

@@ -263,18 +263,24 @@ def enumerate_matchings(n: int):
         yield EMPTY_MATCHING
         return
     partner = [0]
-
-    def rec(k):
-        for a in range(1, 2 * k):
+    letters = []  # a_k for each inner level k < n; _prune undoes the latest
+    a, k = 1, 1
+    while True:
+        if a < 2 * k:
             # letter a names dot a - 1, except a = 1: the new pair, dot 2k
             _enlarge(partner, a - 1 if a > 1 else 2 * k)
             if k < n:
-                yield from rec(k + 1)
-            else:
-                yield Matching(tuple(partner))
-            _prune(partner)
-
-    yield from rec(1)
+                letters.append(a)
+                a, k = 1, k + 1
+                continue
+            yield Matching(tuple(partner))
+        elif k == 1:
+            return
+        else:
+            a = letters.pop()
+            k -= 1
+        _prune(partner)
+        a += 1
 
 
 # ---------------------------------------------------------------------------

@@ -330,19 +330,25 @@ def enumerate_increasing_trees(n: int):
         yield Tree(((),))
         return
     parent, children = [None], [()]
-
-    def rec(k):
-        for a in range(1, 2 * k):
+    stack = []  # (a_k, p, sibs) for each inner level k < n: its undo
+    a, k = 1, 1
+    while True:
+        if a < 2 * k:
             p, sibs = _insert(parent, children, k, "R" if a % 2 else "L", a // 2)
             if k < n:
-                yield from rec(k + 1)
-            else:
-                yield Tree(children)
-            children[p] = sibs
-            children.pop()
-            parent.pop()
-
-    yield from rec(1)
+                stack.append((a, p, sibs))
+                a, k = 1, k + 1
+                continue
+            yield Tree(children)
+        elif k == 1:
+            return
+        else:
+            a, p, sibs = stack.pop()
+            k -= 1
+        children[p] = sibs
+        children.pop()
+        parent.pop()
+        a += 1
 
 
 def enumerate_shapes(n: int):

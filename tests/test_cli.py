@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 from unittest import mock
@@ -574,6 +575,51 @@ def test_the_check_list_and_its_text_report_are_pinned(capsys):
             lines.append("  NOTE: every build sequence starts with (R,0); a sometimes-quoted "
                          "variant starting (R,1) violates the step-1 rule")
     assert re.sub(r"\[\d+\.\d\ds\]", "[t]", out).splitlines() == lines
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_verify_all_reports_the_same_in_one_process_and_across_workers(fmt, monkeypatch, capsys):
+    outs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_available_cpus", lambda cpus=cpus: cpus)
+        code, out, err = run(["verify", "--check", "all", "--max-n", "3", "--format", fmt], capsys=capsys)
+        assert code == 0 and err == ""
+        out = re.sub(r'"elapsed_s": [\d.e-]+', '"elapsed_s": 0', re.sub(r"\[\d+\.\d\ds\]", "[t]", out))
+        outs.append(out.splitlines())
+    assert outs[0] == outs[1]
+    if fmt == "text":
+        names = [line.split(" (max_n=3)")[0] for line in outs[1] if not line.startswith(" ")]
+    else:
+        names = [json.loads(line)["check"] for line in outs[1]]
+    assert names == [name for name, _ in CHECK_SIZES]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_check_that_raises_fails_alone_and_the_others_still_run(cpus, monkeypatch, capsys):
+    def passes(max_n):
+        return True, None, [f"pid {os.getpid()}"]
+
+    def raises(max_n):
+        raise ValueError("planted fault")
+
+    def fails(max_n):
+        return False, {"n": max_n}, []
+
+    monkeypatch.setattr(cli, "CHECKS", {"passes": (passes, 1), "raises": (raises, 2), "fails": (fails, 3)})
+    monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+    code, out, err = run(["verify", "--check", "all", "--format", "jsonl"], capsys=capsys)
+    assert code == 1 and err == ""
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert all(r.pop("elapsed_s") >= 0 for r in reports)
+    # the passing check notes its pid: with two CPUs it ran in a forked worker
+    ran_here = reports[0].pop("notes") == [f"pid {os.getpid()}"]
+    assert ran_here == (cpus == 1)
+    assert reports == [
+        {"check": "passes", "max_n": 1, "status": "PASS"},
+        {"check": "raises", "max_n": 2, "status": "FAIL",
+         "counterexample": {"error": "ValueError: planted fault"}},
+        {"check": "fails", "max_n": 3, "status": "FAIL", "counterexample": {"n": 3}},
+    ]
 
 
 def test_verify_guard(monkeypatch, capsys):
