@@ -9,13 +9,17 @@ one upline of the final object.  Phi (recursive and explicit forms)
 carries trees to matchings so that violator/partner pairs become
 uplines.  tau_variant trades uplines for a different pair of matching
 statistics.
+
+Each public map validates its input once and hands it to a _-prefixed
+kernel that trusts it; the compositions and klazar.checks call the
+kernels on objects that are valid by construction.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .codes import treecode_to_matchcode, validate_match_code, validate_tree_code
+from .codes import _swap_letters, validate_match_code, validate_tree_code
 from .matching_core import Matching, _enlarge, _prune, _shift
 from .tree_core import (
     MarkedTree,
@@ -49,6 +53,10 @@ def phi(mt: MarkedTree) -> Tree:
     violator set of the result is exactly the original mark set.
     """
     check_marked_tree(mt)
+    return _phi(mt)
+
+
+def _phi(mt):
     parent, children = _tables(mt.tree)
     for u in sorted(mt.marked, reverse=True):
         assert children[u], "marks are interior vertices"
@@ -62,13 +70,15 @@ def phi_inverse(t: Tree) -> MarkedTree:
     of the big cohort left of v) back to its own child list; the
     violators become the marks.  Processed in increasing order."""
     check_increasing_tree(t)
+    return _phi_inverse(t)
+
+
+def _phi_inverse(t):
     parent, children = _tables(t)
     marks = _klazar_violators(children)
     for u in marks:
         _cohort_to_children(parent, children, u)
-    mt = MarkedTree(Tree(children), frozenset(marks))
-    check_marked_tree(mt)
-    return mt
+    return MarkedTree(Tree(children), frozenset(marks))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +87,10 @@ def phi_inverse(t: Tree) -> MarkedTree:
 
 def sigma(t: Tree):
     """Code t by deleting n, n-1, ..., 1, applying F before each record."""
-    n = check_increasing_tree(t)
+    return _sigma(t, check_increasing_tree(t))
+
+
+def _sigma(t, n):
     parent, children = _tables(t)
     code = []
     for k in range(n, 0, -1):
@@ -88,7 +101,10 @@ def sigma(t: Tree):
 
 def sigma_inverse(code) -> Tree:
     """Rebuild from a code, applying F after every insertion."""
-    code = validate_tree_code(code)
+    return _sigma_inverse(validate_tree_code(code))
+
+
+def _sigma_inverse(code):
     parent, children = [None], [()]
     for k, (X, i) in enumerate(code, start=1):
         _insert(parent, children, k, X, i)
@@ -116,7 +132,10 @@ def _odd_pairs(code, letter):
 def tau(code) -> Matching:
     """Build a matching where each enlargement consults current uplines,
     read off one growing partner list by _tau_target."""
-    code = validate_match_code(code)
+    return _tau(validate_match_code(code))
+
+
+def _tau(code):
     partner = [0]
     for k, (Y, i) in enumerate(code, start=1):
         _enlarge(partner, _tau_target(partner, Y, i, k))
@@ -147,7 +166,7 @@ def tau_inverse(m: Matching):
         code.append(_tau_entry(partner))
         _prune(partner)
     code.reverse()
-    return validate_match_code(code)
+    return tuple(code)
 
 
 def _tau_entry(partner):
@@ -196,7 +215,10 @@ def Phi_recursive(t: Tree) -> Matching:
     code, so its agreement with Phi_explicit is independent evidence
     that both are right.
     """
-    n = check_increasing_tree(t)
+    return _Phi_recursive(t, check_increasing_tree(t))
+
+
+def _Phi_recursive(t, n):
     parent, children = _tables(t)
     dots = []
     for k in range(n, 0, -1):
@@ -234,7 +256,11 @@ def Phi_recursive(t: Tree) -> Matching:
 def Phi_explicit(t: Tree) -> Matching:
     """The same map as Phi_recursive, as a composition: code t with
     sigma, swap letters, then realize the matching code with tau."""
-    return tau(treecode_to_matchcode(sigma(t)))
+    return _Phi_explicit(t, check_increasing_tree(t))
+
+
+def _Phi_explicit(t, n):
+    return _tau(_swap_letters(_sigma(t, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Each check_* takes max_n and returns (passed, first counterexample or
 None, NOTE lines); CHECKS lists them with their default max_n in the
 order `klazar verify --check all` runs them.  The library is called
 through module attributes, so a rebound module function reaches the
-checks too.
+checks too.  The objects come from the enumerators and are valid by
+construction, so the bijection checks call the private kernels, which
+skip the public maps' input validation.
 """
 
 from __future__ import annotations
@@ -221,11 +223,11 @@ def check_phi(max_n):
             for r in range(len(_interior(t)) + 1):
                 for marks in combinations(_interior(t), r):
                     mt = tree_core.MarkedTree(t, frozenset(marks))
-                    img = bijections.phi(mt)
+                    img = bijections._phi(mt)
                     ok = (
                         set(tree_core.klazar_violators(img)) == set(marks)
                         and len(tree_core.reverse_bad_vertices(img)) == rb
-                        and bijections.phi_inverse(img) == mt
+                        and bijections._phi_inverse(img) == mt
                         and img not in seen
                     )
                     if not ok:
@@ -241,10 +243,10 @@ def check_sigma(max_n):
              "variant starting (R,1) violates the step-1 rule"]
     for n in range(max_n + 1):
         for c in codes.enumerate_tree_codes(n):
-            t = bijections.sigma_inverse(c)
-            if bijections.sigma(t) != c:
+            t = bijections._sigma_inverse(c)
+            if bijections._sigma(t, n) != c:
                 return False, {"n": n, "code": [list(e) for e in c]}, notes
-            if bijections.violators_from_treecode(c) != set(tree_core.violator_partners(t).items()):
+            if bijections._odd_pairs(c, "L") != set(tree_core.violator_partners(t).items()):
                 return False, {"n": n, "code": [list(e) for e in c],
                                "tree": tree_core.tree_to_json(t)}, notes
     return True, None, notes
@@ -253,10 +255,10 @@ def check_sigma(max_n):
 def check_tau(max_n):
     for n in range(max_n + 1):
         for c in codes.enumerate_match_codes(n):
-            m = bijections.tau(c)
+            m = bijections._tau(c)
             if bijections.tau_inverse(m) != c:
                 return False, {"n": n, "code": [list(e) for e in c]}, []
-            if bijections.uplines_from_matchcode(c) != set(matching_core.uplines(m)):
+            if bijections._odd_pairs(c, "T") != set(matching_core.uplines(m)):
                 return False, {"n": n, "code": [list(e) for e in c], "matching": m.to_json()}, []
     return True, None, []
 
@@ -265,8 +267,8 @@ def check_Phi_equality(max_n):
     for n in range(max_n + 1):
         seen = set()
         for t in tree_core.enumerate_increasing_trees(n):
-            m1 = bijections.Phi_recursive(t)
-            m2 = bijections.Phi_explicit(t)
+            m1 = bijections._Phi_recursive(t, n)
+            m2 = bijections._Phi_explicit(t, n)
             if m1 != m2:
                 return False, {"n": n, "tree": tree_core.tree_to_json(t),
                                "recursive": m1.to_json(), "explicit": m2.to_json()}, []

@@ -20,7 +20,7 @@ from collections import Counter
 from itertools import product
 
 from .matching_core import Matching, _enlarge, _prune
-from .tree_core import Tree, _insert, _remove_largest, tables_of
+from .tree_core import Tree, _insert, _remove_largest, check_increasing_tree, tables_of
 
 
 def _validate_code(code, first, second, lo, kind):
@@ -73,10 +73,9 @@ def code_to_tree(code) -> Tree:
 
 def tree_to_code(t: Tree):
     """Read off the insertion history by deleting n, n-1, ... in turn."""
+    n = check_increasing_tree(t)
     parent, children = tables_of(t)
-    code = [_remove_largest(parent, children, k) for k in range(len(parent), 0, -1)]
-    code.reverse()
-    return validate_tree_code(code)
+    return tuple(reversed([_remove_largest(parent, children, k) for k in range(n, 0, -1)]))
 
 
 def code_to_matching(code) -> Matching:
@@ -92,7 +91,7 @@ def matching_to_code(m: Matching):
         x = _prune(partner)
         code.append(("T", (x + 1) // 2) if x % 2 else ("B", x // 2))
     code.reverse()
-    return validate_match_code(code)
+    return tuple(code)
 
 
 # ---------------------------------------------------------------------------

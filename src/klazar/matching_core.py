@@ -212,8 +212,11 @@ def enlarge(m: Matching, d: DotRef) -> Matching:
     and d's former partner joins the new bottom dot 2n.  Over the 2n-1
     legal dots this is a bijection onto size-n diagrams.
     """
+    x, b = d.number(), len(m.partner) + 1
+    if x != b and not 1 <= x <= b - 2:
+        raise ValueError(f"dot {d} is not in the size-{b // 2 - 1} diagram")
     partner = list(m.partner)
-    _enlarge(partner, d.number())
+    _enlarge(partner, x)
     return Matching(tuple(partner))
 
 
@@ -225,13 +228,12 @@ def prune_matching(m: Matching):
 
 
 def _enlarge(partner, x):
-    """enlarge in place on a partner list, with the dot given by its number x."""
+    """enlarge in place on a partner list, with the dot given by its
+    number x; x must be a legal dot, which enlarge checks."""
     b = len(partner) + 1
     if x == b:
         partner += (b, b - 1)
         return
-    if not 1 <= x <= b - 2:
-        raise ValueError(f"dot {DotRef.of_number(x)} is not in the size-{b // 2 - 1} diagram")
     y = partner[x]
     partner += (x, y)
     partner[x], partner[y] = b - 1, b

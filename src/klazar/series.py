@@ -197,21 +197,6 @@ def series_mul(f: TruncatedEGF, g: TruncatedEGF) -> TruncatedEGF:
     return TruncatedEGF(f.order, f.markers, tuple(out))
 
 
-def series_exp(f: TruncatedEGF) -> TruncatedEGF:
-    """exp(f) for f with zero constant term, via g' = f'g."""
-    if f.coeffs[0]:
-        raise ValueError("exp needs a zero constant term")
-    nv = len(f.markers)
-    g = [_pconst(1, nv)]
-    for m in range(1, f.order + 1):
-        acc = {}
-        for r in range(1, m + 1):
-            if f.coeffs[r]:
-                _padd_into(acc, _pmul(f.coeffs[r], g[m - r]), Fraction(comb(m - 1, r - 1)))
-        g.append(acc)
-    return TruncatedEGF(f.order, f.markers, tuple(g))
-
-
 def series_inv(g: TruncatedEGF) -> TruncatedEGF:
     """1/g when the constant term of g is a nonzero rational."""
     c0 = _constant_of(g.coeffs[0], len(g.markers))

@@ -235,11 +235,6 @@ def tables_of(t: Tree):
     return parent, dict(enumerate(map(list, t.kids)))
 
 
-def tree_from_tables(children) -> Tree:
-    """The tree of a children table (a dict or list by label 0..n)."""
-    return Tree(tuple(children[v]) for v in range(len(children)))
-
-
 def _require_vertex(children, v):
     if not (isinstance(v, int) and 0 <= v < len(children)):
         raise ValueError(f"no vertex labelled {v}")
@@ -444,17 +439,6 @@ def _violates(children, sibs, pos):
 def _is_violator(parent, children, v):
     sibs = children[parent[v]]
     return _violates(children, sibs, sibs.index(v))
-
-
-def violator_partner(t: Tree, v: int) -> int:
-    """Rightmost child or closest left sibling of a violator, whichever
-    is larger."""
-    kids = t.kids
-    _require_vertex(kids, v)
-    parent = _parents(kids)
-    if not _is_violator(parent, kids, v):
-        raise ValueError(f"{v} is not a Klazar violator")
-    return _partner(parent, kids, v)
 
 
 def violator_partners(t: Tree) -> dict:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce as bf
+from klazar import bijections, checks, codes, tree_core
 from klazar.bijections import (
     Phi_explicit,
     Phi_recursive,
@@ -38,6 +39,7 @@ from klazar.codes import (
 from klazar.matching_core import Matching, enumerate_matchings, matching_from_text, shift_S, uplines
 from klazar.tree_core import (
     MarkedTree,
+    check_marked_tree,
     enumerate_increasing_trees,
     klazar_violators,
     reverse_bad_vertices,
@@ -264,8 +266,9 @@ def test_round_trips_on_large_random_trees():
 
 
 def test_maps_that_validate_only_their_input_return_valid_objects():
-    # the letter swaps, the word maps and sigma trust their validated
-    # input; every word up to n = 6, then 20 seeded words at n = 200
+    # the letter swaps, the word maps, sigma, tree_to_code, phi_inverse,
+    # matching_to_code and tau_inverse validate their input and not their
+    # output; every word up to n = 6, then 20 seeded words at n = 200
     rng = random.Random(200)
     large = ([rng.randint(1, 2 * k - 1) for k in range(1, 201)] for _ in range(20))
     for w in chain((w for n in range(7) for w in enumerate_words(n)), large):
@@ -274,11 +277,39 @@ def test_maps_that_validate_only_their_input_return_valid_objects():
         back, word = matchcode_to_treecode(mc), code_to_trapezoidal(tc)
         t = code_to_tree(tc)
         sc, m = sigma(t), Phi_explicit(t)
+        tt, mm, tm = tree_to_code(t), matching_to_code(code_to_matching(mc)), tau_inverse(m)
         assert validate_tree_code(tc) == tc and validate_match_code(mc) == mc
         assert validate_tree_code(back) == back == tc
         assert validate_word(word) == word == tuple(w)
         assert validate_tree_code(sc) == sc
         assert Matching.from_json(m.to_json()) == m
+        assert validate_tree_code(tt) == tt == tc
+        assert validate_match_code(mm) == mm == mc
+        assert validate_match_code(tm) == tm
+        check_marked_tree(phi_inverse(t))
+
+
+def test_checks_validate_nothing_and_a_public_map_validates_once(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (tree_core, codes, bijections):
+        count(module, "check_increasing_tree")
+    count(bijections, "check_marked_tree")
+    count(codes, "_validate_code")
+    for check in (checks.check_phi, checks.check_sigma, checks.check_tau, checks.check_Phi_equality):
+        assert check(5)[0]
+    assert calls == Counter()
+    Phi_explicit(tree_from_text("0(2,1(3))"))
+    assert calls == Counter({"check_increasing_tree": 1})
 
 
 def test_Phi_routes_agree_on_a_wide_shallow_tree():

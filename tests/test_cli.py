@@ -21,7 +21,7 @@ from klazar.codes import (
     word_to_text,
 )
 from klazar.matching_core import matching_to_text
-from klazar.tree_core import tree_to_text
+from klazar.tree_core import tree_from_text, tree_to_json, tree_to_text
 
 
 def run(argv, stdin=None, monkeypatch=None, capsys=None):
@@ -199,6 +199,16 @@ def assert_exit_0_or_2_without_traceback(command, text):
 @given(tree_command_inputs())
 def test_tree_commands_exit_0_or_2_and_never_print_a_traceback(case):
     assert_exit_0_or_2_without_traceback(*case)
+
+
+def test_tree_maps_reject_a_child_below_its_parent(monkeypatch, capsys):
+    # labels exactly 0..n, so the parser accepts them; only the order is wrong
+    for command in (c for c in TREE_COMMANDS if c != ["draw"]):
+        for text in ("0(2(1))", "0(1,3(2))", "0(3(1),2)"):
+            for stdin in (text, json.dumps(tree_to_json(tree_from_text(text)))):
+                code, out, err = run(command, stdin=stdin, monkeypatch=monkeypatch, capsys=capsys)
+                assert (code, out) == (2, ""), (command, stdin)
+                assert len(err.splitlines()) == 1 and "does not exceed parent" in err, (command, stdin)
 
 
 # the input family each code or matching map reads

@@ -26,7 +26,7 @@ from klazar.codes import (
     word_to_text,
 )
 from klazar.matching_core import enumerate_matchings
-from klazar.tree_core import check_increasing_tree, enumerate_increasing_trees
+from klazar.tree_core import check_increasing_tree, enumerate_increasing_trees, tree_from_text
 
 
 @st.composite
@@ -133,6 +133,12 @@ def test_object_code_roundtrips(w):
     assert tree_to_code(code_to_tree(tc)) == tc
     mc = treecode_to_matchcode(tc)
     assert matching_to_code(code_to_matching(mc)) == mc
+
+
+def test_tree_to_code_rejects_a_child_below_its_parent():
+    for text in ("0(2(1))", "0(1,3(2))", "0(3(1),2)"):
+        with pytest.raises(ValueError, match="does not exceed parent"):
+            tree_to_code(tree_from_text(text))
 
 
 def test_all_three_families_align_exhaustively():

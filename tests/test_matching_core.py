@@ -210,6 +210,14 @@ def test_enlarge_rejects_out_of_range():
         class2_expand(m, True)
     with pytest.raises(ValueError):
         shift_S(m, True)
+    # size 2: the legal dots are 1..4 and the new pair 6; 5 is the new top dot
+    for row, pos in (("top", 0), ("bot", 0), ("top", 3), ("top", 4), ("bot", 4)):
+        with pytest.raises(ValueError) as err:
+            enlarge(m, DotRef(row, pos))
+        assert str(err.value) == f"dot DotRef(row='{row}', pos={pos}) is not in the size-2 diagram"
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"^top position {i} out of range$"):
+            class2_expand(m, i)
 
 
 @given(match_codes())

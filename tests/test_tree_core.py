@@ -32,7 +32,6 @@ from klazar.tree_core import (
     shape_of,
     tables_of,
     tree_from_json,
-    tree_from_tables,
     tree_from_text,
     tree_stats,
     tree_to_json,
@@ -88,7 +87,7 @@ def test_validation_catches_bad_labelings():
 def test_tables_roundtrip(w):
     t = tree_from_word(w)
     parent, children = tables_of(t)
-    assert tree_from_tables(children) == t
+    assert Tree(map(tuple, children.values())) == t
     assert len(parent) == len(w)
     for v, p in parent.items():
         assert v > p, "child labels must exceed the parent"
