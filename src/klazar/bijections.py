@@ -272,7 +272,10 @@ def tau_variant(code) -> Matching:
     downline hangs from it, and otherwise the partner of top dot i.  A
     weak downline hangs from top i iff partner[2i-1] is even and greater
     than 2i-1, so each step reads one entry of the growing list."""
-    code = validate_match_code(code)
+    return _tau_variant(validate_match_code(code))
+
+
+def _tau_variant(code):
     partner = [0]
     for k, (Y, i) in enumerate(code, start=1):
         if Y == "T" or i == k:

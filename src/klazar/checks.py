@@ -5,8 +5,8 @@ None, NOTE lines); CHECKS lists them with their default max_n in the
 order `klazar verify --check all` runs them.  The library is called
 through module attributes, so a rebound module function reaches the
 checks too.  The objects come from the enumerators and are valid by
-construction, so the bijection checks call the private kernels, which
-skip the public maps' input validation.
+construction: no check validates them, each calls the _-prefixed
+kernels and reads its counts off the child or partner tables.
 """
 
 from __future__ import annotations
@@ -27,38 +27,36 @@ REFERENCE_ROWS = {
 ROW6_DERIVED = [32, 1328, 5168, 3508, 358, 1]
 
 
-def _interior(t):
-    return [v for v in range(1, len(t.kids)) if t.kids[v]]
-
-
 def _kv_list(d):
     return [[list(k) if isinstance(k, tuple) else k, v] for k, v in sorted(d.items())]
 
 
 def _tree_stat_tally(n, width):
-    """Tally n-edge trees by (#violators, #non-DT leaves, #leaves)[:width]."""
+    """Tally n-edge trees by (#violators, #non-DT leaves, #leaves)[:width],
+    read off the child table; the root-only tree has one leaf, as in tree_stats."""
     tally = Counter()
     for t in tree_core.enumerate_increasing_trees(n):
-        s = tree_core.tree_stats(t)
-        tally[(len(s.klazar_violators), s.non_dt_leaves, s.leaves)[:width]] += 1
+        dts = tree_core.descent_terminators(t)
+        leaves = [v for v, ks in enumerate(t.kids) if not ks]
+        violators = tree_core._klazar_violators(t.kids)
+        tally[(len(violators), sum(v not in dts for v in leaves), len(leaves))[:width]] += 1
     return dict(tally)
 
 
-def _parity_pairs(m):
-    """(#even-to-odd pairs, #odd-to-even pairs), each pair read left to right."""
-    pairs = m.pairs()
-    return (sum(1 for a, b in pairs if a % 2 == 0 and b % 2 == 1),
-            sum(1 for a, b in pairs if a % 2 == 1 and b % 2 == 0))
+def _parity_pairs(p):
+    """(#even-to-odd, #odd-to-even) pairs of a partner table, read left to
+    right: (#uplines, #weak downlines).  An odd x with an even partner
+    ends an upline if the partner is smaller, else starts a weak downline."""
+    up = down = 0
+    for x in range(1, len(p), 2):
+        if not p[x] % 2:
+            up += p[x] < x
+            down += p[x] > x
+    return up, down
 
 
-def _no_upline_tally(n):
-    """Tally no-upline diagrams by (#even-even pairs, largest such endpoint / 2)."""
-    tally = Counter()
-    for m in matching_core.enumerate_matchings(n):
-        if not matching_core.uplines(m):
-            evens = [b for a, b in m.pairs() if a % 2 == 0 and b % 2 == 0]
-            tally[(len(evens), max(evens, default=0) // 2)] += 1
-    return tally
+def _verticals(p):  # read off a partner table: odd x matched to x + 1
+    return sum(1 for x in range(1, len(p), 2) if p[x] == x + 1)
 
 
 def check_eq1(max_n):
@@ -80,9 +78,9 @@ def check_eq3(max_n):
     for n in range(max_n + 1):
         want = counting.odd_double_factorial(2 * n - 1)
         total = sum(
-            2 ** len(_interior(t))
+            1 << (n - t.kids[1:].count(()))  # 2 ** #interior vertices
             for t in tree_core.enumerate_increasing_trees(n)
-            if not tree_core.klazar_violators(t)
+            if not tree_core._klazar_violators(t.kids)
         )
         if total != want:
             return False, {"n": n, "sum": total, "expected": want}, []
@@ -100,7 +98,7 @@ def check_eq2_vs_enum(max_n):
     gf = series.gf_w12(max_n)
     for n in range(max_n + 1):
         klazar = sum(
-            1 for t in tree_core.enumerate_increasing_trees(n) if not tree_core.klazar_violators(t)
+            1 for t in tree_core.enumerate_increasing_trees(n) if not tree_core._klazar_violators(t.kids)
         )
         values = {
             "recurrence": w[n],
@@ -121,14 +119,11 @@ def check_theorem2(max_n):
         coeff = {l: int(c) for (l,), c in gf.coefficient(n).items()}
         if dist != coeff:
             return False, {"n": n, "tally": dist, "series": coeff}, notes
-        if n in REFERENCE_ROWS:
-            row = [dist.get(l, 0) for l in range(1, n + 1)]
-            if row != REFERENCE_ROWS[n]:
-                return False, {"n": n, "row": row, "expected": REFERENCE_ROWS[n]}, notes
+        row = [dist.get(l, 0) for l in range(1, n + 1)]
+        expected = ROW6_DERIVED if n == 6 else REFERENCE_ROWS.get(n)
+        if expected is not None and row != expected:
+            return False, {"n": n, "row": row, "expected": expected}, notes
         if n == 6:
-            row = [dist.get(l, 0) for l in range(1, 7)]
-            if row != ROW6_DERIVED:
-                return False, {"n": 6, "row": row, "expected": ROW6_DERIVED}, notes
             notes.append(
                 "NOTE: enumeration and the closed form agree on a(6,2)=1328 and "
                 "a(6,3)=5168; a sometimes-quoted row has 128 (a dropped digit) "
@@ -164,7 +159,11 @@ def check_quadrivariate(max_n):
 
 def check_pm_formula(max_n):
     for n in range(max_n + 1):
-        tally = _no_upline_tally(n)
+        tally = Counter()  # no-upline diagrams by (#even-even pairs, largest such end / 2)
+        for p in (m.partner for m in matching_core.enumerate_matchings(n)):
+            if not _parity_pairs(p)[0]:
+                ends = [x for x in range(2, len(p), 2) if p[x] < x and not p[x] % 2]
+                tally[(len(ends), ends[-1] // 2 if ends else 0)] += 1
         for k in range(n // 2 + 1):
             want = counting.no_upline_refined(n, k)
             got = sum(v for (kk, _), v in tally.items() if kk == k)
@@ -181,10 +180,9 @@ def check_pm_formula(max_n):
 def check_theorem8(max_n):
     for n in range(max_n + 1):
         for m in matching_core.enumerate_matchings(n):
-            if matching_core.uplines(m):
+            if _parity_pairs(m.partner)[0]:
                 continue
-            even_pm, odd_pm, sm, pm = matching_core.decompose_no_upline(m)
-            back = matching_core.compose_no_upline(even_pm, odd_pm, sm, pm)
+            back = matching_core._compose(*matching_core._decompose(m))
             if back != m:
                 return False, {"n": n, "matching": m.to_json(), "recomposed": back.to_json()}, []
     return True, None, []
@@ -194,7 +192,7 @@ def check_class_split(max_n):
     for n in range(1, max_n + 1):
         by_class = {1: [], 2: [], 3: []}
         for m in matching_core.enumerate_matchings(n):
-            if not matching_core.uplines(m):
+            if not _parity_pairs(m.partner)[0]:
                 by_class[matching_core.recurrence_class(m)].append(m)
         t1, t2, t3 = counting.eq4_terms(n)
         sizes = (len(by_class[1]), len(by_class[2]), len(by_class[3]))
@@ -217,16 +215,17 @@ def check_phi(max_n):
         trees = 0
         for t in tree_core.enumerate_increasing_trees(n):
             trees += 1
-            if tree_core.klazar_violators(t):
+            if tree_core._klazar_violators(t.kids):
                 continue
-            rb = len(tree_core.reverse_bad_vertices(t))
-            for r in range(len(_interior(t)) + 1):
-                for marks in combinations(_interior(t), r):
+            rb = len(tree_core._bad(t.kids, True))
+            interior = [v for v in range(1, n + 1) if t.kids[v]]
+            for r in range(len(interior) + 1):
+                for marks in combinations(interior, r):
                     mt = tree_core.MarkedTree(t, frozenset(marks))
                     img = bijections._phi(mt)
                     ok = (
-                        set(tree_core.klazar_violators(img)) == set(marks)
-                        and len(tree_core.reverse_bad_vertices(img)) == rb
+                        tree_core._klazar_violators(img.kids) == marks
+                        and len(tree_core._bad(img.kids, True)) == rb
                         and bijections._phi_inverse(img) == mt
                         and img not in seen
                     )
@@ -246,7 +245,7 @@ def check_sigma(max_n):
             t = bijections._sigma_inverse(c)
             if bijections._sigma(t, n) != c:
                 return False, {"n": n, "code": [list(e) for e in c]}, notes
-            if bijections._odd_pairs(c, "L") != set(tree_core.violator_partners(t).items()):
+            if bijections._odd_pairs(c, "L") != tree_core.violator_partners(t).items():
                 return False, {"n": n, "code": [list(e) for e in c],
                                "tree": tree_core.tree_to_json(t)}, notes
     return True, None, notes
@@ -258,7 +257,7 @@ def check_tau(max_n):
             m = bijections._tau(c)
             if bijections.tau_inverse(m) != c:
                 return False, {"n": n, "code": [list(e) for e in c]}, []
-            if bijections._odd_pairs(c, "T") != set(matching_core.uplines(m)):
+            if bijections._odd_pairs(c, "T") != matching_core.uplines(m):
                 return False, {"n": n, "code": [list(e) for e in c], "matching": m.to_json()}, []
     return True, None, []
 
@@ -272,7 +271,7 @@ def check_Phi_equality(max_n):
             if m1 != m2:
                 return False, {"n": n, "tree": tree_core.tree_to_json(t),
                                "recursive": m1.to_json(), "explicit": m2.to_json()}, []
-            if set(matching_core.uplines(m1)) != set(tree_core.violator_partners(t).items()):
+            if matching_core.uplines(m1) != tree_core.violator_partners(t).items():
                 return False, {"n": n, "tree": tree_core.tree_to_json(t), "matching": m1.to_json()}, []
             seen.add(m1)
         if len(seen) != counting.odd_double_factorial(2 * n - 1):
@@ -283,9 +282,9 @@ def check_Phi_equality(max_n):
 def check_cor13(max_n):
     gf = series.gf_kv(max_n)
     for n in range(max_n + 1):
-        d1 = Counter(len(tree_core.klazar_violators(t)) for t in tree_core.enumerate_increasing_trees(n))
-        d2 = Counter(len(matching_core.uplines(m)) for m in matching_core.enumerate_matchings(n))
-        d3 = Counter(codes.word_parity_stats(w)[0] for w in codes.enumerate_words(n))
+        d1 = Counter(len(tree_core._klazar_violators(t.kids)) for t in tree_core.enumerate_increasing_trees(n))
+        d2 = Counter(_parity_pairs(m.partner)[0] for m in matching_core.enumerate_matchings(n))
+        d3 = Counter(codes._word_parity_stats(w)[0] for w in codes.enumerate_words(n))
         if not d1 == d2 == d3:
             return False, {"n": n, "violators": _kv_list(d1), "uplines": _kv_list(d2),
                            "word-evens": _kv_list(d3)}, []
@@ -298,11 +297,11 @@ def check_joint_dist(max_n):
     for n in range(max_n + 1):
         images = set()
         for c in codes.enumerate_match_codes(n):
-            images.add(bijections.tau_variant(c))
+            images.add(bijections._tau_variant(c))
         if len(images) != counting.odd_double_factorial(2 * n - 1):
             return False, {"n": n, "images": len(images)}, []
-        word_stats = Counter(codes.word_parity_stats(w) for w in codes.enumerate_words(n))
-        match_stats = Counter(_parity_pairs(m) for m in matching_core.enumerate_matchings(n))
+        word_stats = Counter(map(codes._word_parity_stats, codes.enumerate_words(n)))
+        match_stats = Counter(_parity_pairs(m.partner) for m in matching_core.enumerate_matchings(n))
         if word_stats != match_stats:
             return False, {"n": n, "words": _kv_list(word_stats), "matchings": _kv_list(match_stats)}, []
     return True, None, []
@@ -312,12 +311,9 @@ def check_vertical_gf(max_n):
     gv = series.gf_vertical(max_n)
     ge = series.gf_even_odd(max_n)
     for n in range(max_n + 1):
-        vert = Counter()
-        eo = Counter()
-        for m in matching_core.enumerate_matchings(n):
-            vert[(len(matching_core.classify_edges(m).verticals),)] += 1
-            if _parity_pairs(m)[0] == 0:
-                eo[(len(matching_core.weak_downlines(m)),)] += 1
+        ps = [m.partner for m in matching_core.enumerate_matchings(n)]
+        vert = Counter((_verticals(p),) for p in ps)
+        eo = Counter((down,) for up, down in map(_parity_pairs, ps) if not up)
         if dict(vert) != gv.coefficient(n):
             return False, {"n": n, "stat": "verticals", "tally": _kv_list(vert)}, []
         if dict(eo) != ge.coefficient(n):
@@ -331,7 +327,7 @@ def check_stirling_bijection(max_n):
             sms = list(matching_core.enumerate_stirling_matchings(n, k))
             if len(sms) != counting.stirling2(n, k):
                 return False, {"n": n, "k": k, "count": len(sms)}, []
-            parts = {matching_core.stirling_to_partition(sm) for sm in sms}
+            parts = set(map(matching_core._stirling_to_partition, sms))
             if len(parts) != len(sms):
                 return False, {"n": n, "k": k, "distinct_partitions": len(parts)}, []
             for p in parts:
@@ -350,15 +346,15 @@ def check_code_roundtrips(max_n):
         trees = tree_core.enumerate_increasing_trees(n)
         matchings = matching_core.enumerate_matchings(n)
         for w, t, m in zip(codes.enumerate_words(n), trees, matchings):
-            tc = codes.trapezoidal_to_code(w)
-            mc = codes.treecode_to_matchcode(tc)
+            tc = codes._word_to_code(w)
+            mc = codes._swap_letters(tc)
             ok = (
-                codes.code_to_tree(tc) == t
-                and codes.tree_to_code(t) == tc
-                and codes.code_to_matching(mc) == m
+                codes._code_to_tree(tc) == t
+                and codes._tree_to_code(t, n) == tc
+                and codes._code_to_matching(mc) == m
                 and codes.matching_to_code(m) == mc
-                and codes.matchcode_to_treecode(mc) == tc
-                and codes.code_to_trapezoidal(tc) == w
+                and codes._swap_back(mc) == tc
+                and codes._code_to_word(tc) == w
             )
             if not ok:
                 return False, {"n": n, "word": list(w)}, []

@@ -16,7 +16,6 @@ the boundary, not inside a bijection.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import product
 
 from .matching_core import Matching, _enlarge, _prune
@@ -64,7 +63,10 @@ def validate_word(word):
 
 
 def code_to_tree(code) -> Tree:
-    code = validate_tree_code(code)
+    return _code_to_tree(validate_tree_code(code))
+
+
+def _code_to_tree(code):
     parent, children = [None], [()]
     for k, (X, i) in enumerate(code, start=1):
         _insert(parent, children, k, X, i)
@@ -73,14 +75,21 @@ def code_to_tree(code) -> Tree:
 
 def tree_to_code(t: Tree):
     """Read off the insertion history by deleting n, n-1, ... in turn."""
-    n = check_increasing_tree(t)
+    return _tree_to_code(t, check_increasing_tree(t))
+
+
+def _tree_to_code(t, n):
     parent, children = tables_of(t)
     return tuple(reversed([_remove_largest(parent, children, k) for k in range(n, 0, -1)]))
 
 
 def code_to_matching(code) -> Matching:
+    return _code_to_matching(validate_match_code(code))
+
+
+def _code_to_matching(code):
     partner = [0]
-    for Y, i in validate_match_code(code):
+    for Y, i in code:
         _enlarge(partner, 2 * i if Y == "B" else 2 * i - 1)
     return Matching(tuple(partner))
 
@@ -109,12 +118,20 @@ def _swap_letters(code):
 
 
 def matchcode_to_treecode(code):
+    return _swap_back(validate_match_code(code))
+
+
+def _swap_back(code):  # the inverse of _swap_letters; no validation
     return tuple(("R", 0 if i == k else i) if Y == "B" else ("L", i)
-                 for k, (Y, i) in enumerate(validate_match_code(code), start=1))
+                 for k, (Y, i) in enumerate(code, start=1))
 
 
 def code_to_trapezoidal(code):
-    return tuple(2 * i if X == "L" else 2 * i + 1 for X, i in validate_tree_code(code))
+    return _code_to_word(validate_tree_code(code))
+
+
+def _code_to_word(code):  # the inverse of _word_to_code; no validation
+    return tuple(2 * i if X == "L" else 2 * i + 1 for X, i in code)
 
 
 def trapezoidal_to_code(word):
@@ -129,11 +146,16 @@ def _word_to_code(word):
 def word_parity_stats(word):
     """(number of even values with odd multiplicity,
     number of odd values with odd multiplicity)."""
-    word = validate_word(word)
-    counts = Counter(word)
-    evens = sum(1 for v, c in counts.items() if v % 2 == 0 and c % 2 == 1)
-    odds = sum(1 for v, c in counts.items() if v % 2 == 1 and c % 2 == 1)
-    return evens, odds
+    return _word_parity_stats(validate_word(word))
+
+
+def _word_parity_stats(word):
+    # bit v of odd is set iff value v has odd multiplicity
+    odd = 0
+    for a in word:
+        odd ^= 1 << a
+    bits = bin(odd)[:1:-1]  # bits[v] is bit v
+    return bits[::2].count("1"), bits[1::2].count("1")
 
 
 # ---------------------------------------------------------------------------

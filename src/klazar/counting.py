@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .tree_core import bad_vertices, enumerate_increasing_trees
+from .tree_core import _bad, enumerate_increasing_trees
 
 
 def odd_double_factorial(m: int) -> int:
@@ -231,5 +231,5 @@ def bad_vertex_distribution(n: int) -> dict:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    counts = Counter(1 + len(bad_vertices(t)) for t in enumerate_increasing_trees(n))
+    counts = Counter(1 + len(_bad(t.kids, False)) for t in enumerate_increasing_trees(n))
     return dict(sorted(counts.items()))

@@ -57,26 +57,31 @@ class DotRef:
         return DotRef(obj.get("row"), obj.get("pos"))
 
 
-@dataclass(frozen=True)
 class Matching:
     """Perfect matching of [2n], stored as a partner table.
 
-    partner[x] is the partner of x for x in 1..2n; partner[0] is 0 and
-    unused.  Hashable, so exhaustive bijection checks can use sets.
+    partner is a tuple: partner[x] is the partner of x for x in 1..2n,
+    and partner[0] is 0.  Immutable by convention, like Tree: hashable
+    and compared by its table, so exhaustive checks can use sets.
     """
 
-    partner: tuple[int, ...]
+    __slots__ = ("partner",)
+
+    def __init__(self, partner):
+        self.partner = partner
+
+    def __eq__(self, other):
+        return self.partner == other.partner if isinstance(other, Matching) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.partner)
 
     @property
     def n(self) -> int:
         return (len(self.partner) - 1) // 2
 
     def pairs(self) -> tuple:
-        return tuple(
-            (x, self.partner[x])
-            for x in range(1, len(self.partner))
-            if x < self.partner[x]
-        )
+        return tuple((x, y) for x, y in enumerate(self.partner) if x < y)
 
     def __repr__(self):
         return f"Matching.parse({matching_to_text(self)!r})"
@@ -452,19 +457,23 @@ def stirling_to_partition(sm: StirlingMatching) -> tuple:
     of i).  Blocks come out in standard order.
     """
     check_stirling(sm)
+    return _stirling_to_partition(sm)
+
+
+def _stirling_to_partition(sm):
     n = sm.cols
     matched_bottom = {b: a for a, b in sm.edges}
-    blocks = {}
+    blocks, tops = {}, []  # tops: those of the matched bottoms left of i
     unmatched_seen = 0
     for i in range(1, n + 1):
-        if i not in matched_bottom:
+        c = matched_bottom.get(i)
+        if c is None:
             unmatched_seen += 1
             blocks.setdefault(unmatched_seen, []).append(i)
         else:
-            c = matched_bottom[i]
-            skip = sum(1 for a, b in sm.edges if a < c and b < i)
-            blocks.setdefault(c - skip, []).append(i)
-    out = [tuple(sorted(v)) for _, v in sorted(blocks.items())]
+            blocks.setdefault(c - sum(a < c for a in tops), []).append(i)
+            tops.append(c)
+    out = [tuple(v) for _, v in sorted(blocks.items())]  # i ascends, so each block is sorted
     assert sorted(x for blk in out for x in blk) == list(range(1, n + 1))
     assert [b[0] for b in out] == sorted(b[0] for b in out)
     return tuple(out)
@@ -496,6 +505,10 @@ def decompose_no_upline(m: Matching):
     """
     if uplines(m):
         raise ValueError("diagram has an upline")
+    return _decompose(m)
+
+
+def _decompose(m):
     n, p = m.n, m.partner
     A = [x for x in range(2, 2 * n + 1, 2) if p[x] % 2 == 0]
     B = [x for x in range(1, 2 * n, 2) if p[x] % 2]
@@ -528,32 +541,29 @@ def compose_no_upline(even_pm: Matching, odd_pm: Matching,
         raise ValueError("arc matchings must have equal sizes")
     if check_stirling(stirling) != 2 * k:
         raise ValueError("Stirling part size does not match the arc count")
-    j = stirling.cols
     if check_power(power) != 2 * k + 1:
         raise ValueError("power part size does not match the arc count")
-    n = j + power.bottom_count
+    if any(a == power.top_count for a, _ in power.edges):
+        raise ValueError("power edge uses the phantom top dot")
+    return _compose(even_pm, odd_pm, stirling, power)
 
-    lines = [(t, b - 1) for t, b in stirling.edges]
-    s_tops = {t for t, _ in lines}
+
+def _compose(even_pm, odd_pm, stirling, power):
+    """compose_no_upline on valid parts, filling one partner list."""
+    j, n = stirling.cols, stirling.cols + power.bottom_count
+    partner = [0] * (2 * n + 1)
+    s_tops = {t for t, _ in stirling.edges}
     rest = [t for t in range(1, n + 1) if t not in s_tops]
-    for a, b in power.edges:
-        if a > len(rest):
-            raise ValueError("power edge uses the phantom top dot")
-        lines.append((rest[a - 1], j + b))
-
-    line_tops = {t for t, _ in lines}
-    line_bots = {b for _, b in lines}
-    arc_tops = [t for t in range(1, n + 1) if t not in line_tops]
-    arc_bots = [b for b in range(1, n + 1) if b not in line_bots]
-    if len(arc_tops) != 2 * k or len(arc_bots) != 2 * k:
-        raise ValueError("component sizes are inconsistent")
-
-    B = [2 * t - 1 for t in arc_tops]
-    A = [2 * b for b in arc_bots]
-    pairs = [(2 * t - 1, 2 * b) for t, b in lines]
-    pairs += [(A[a - 1], A[b - 1]) for a, b in even_pm.pairs()]
-    pairs += [(B[a - 1], B[b - 1]) for a, b in odd_pm.pairs()]
-    out = Matching.from_pairs(pairs, n=n)
+    lines = [(t, b - 1) for t, b in stirling.edges]
+    lines += [(rest[a - 1], j + b) for a, b in power.edges]
+    for t, b in lines:
+        partner[2 * t - 1], partner[2 * b] = 2 * b, 2 * t - 1
+    for pm, first in ((even_pm, 2), (odd_pm, 1)):
+        free = [x for x in range(first, 2 * n + 1, 2) if not partner[x]]
+        assert len(free) == 2 * even_pm.n, "component sizes are inconsistent"
+        for x, y in zip(free, pm.partner[1:]):
+            partner[x] = free[y - 1]
+    out = Matching(tuple(partner))
     assert not uplines(out)
     return out
 

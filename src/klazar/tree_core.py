@@ -425,20 +425,26 @@ def klazar_violators(t: Tree) -> tuple:
 
 def _klazar_violators(children):
     # only a descent terminator (left neighbour larger) can be a violator
-    out = [sibs[pos] for sibs in children if len(sibs) > 1 for pos in range(1, len(sibs))
-           if sibs[pos - 1] > sibs[pos] and _violates(children, sibs, pos)]
+    out = []
+    for sibs in children:
+        if len(sibs) > 1:
+            for pos in range(1, len(sibs)):
+                if sibs[pos - 1] > sibs[pos] and _violates(children, sibs, pos):
+                    out.append(sibs[pos])
     out.sort()
     return tuple(out)
 
 
 def _violates(children, sibs, pos):
+    # a descent terminator violates if it is a leaf or its associate is below every child
     kids = children[sibs[pos]]
-    return _assoc_at(sibs, pos) < (min(kids) if kids else INFINITY)
+    return not kids or _assoc_at(sibs, pos) < min(kids)
 
 
 def _is_violator(parent, children, v):
     sibs = children[parent[v]]
-    return _violates(children, sibs, sibs.index(v))
+    pos = sibs.index(v)
+    return pos > 0 and sibs[pos - 1] > v and _violates(children, sibs, pos)
 
 
 def violator_partners(t: Tree) -> dict:
@@ -457,23 +463,18 @@ def _partner(parent, children, v):
 def bad_vertices(t: Tree) -> frozenset:
     """Vertices with a right neighbour that they either exceed or that
     they sit next to while having a child of their own."""
-    return _bad_scan(t.kids, reverse=False)
+    return frozenset(_bad(t.kids, False))
 
 
 def reverse_bad_vertices(t: Tree) -> frozenset:
     """Mirror image of bad_vertices: left neighbour instead of right."""
-    return _bad_scan(t.kids, reverse=True)
+    return frozenset(_bad(t.kids, True))
 
 
-def _bad_scan(children, reverse):
-    # the reverse case is the same scan over mirrored sibling lists
-    out = set()
-    for sibs in children:
-        sibs = sibs[::-1] if reverse else sibs
-        for i, v in enumerate(sibs[:-1]):
-            if v > sibs[i + 1] or children[v]:
-                out.add(v)
-    return frozenset(out)
+def _bad(children, reverse):
+    # the bad vertices, each once; the reverse case mirrors each sibling list
+    rows = (sibs[::-1] for sibs in children) if reverse else children
+    return [v for sibs in rows if len(sibs) > 1 for v, w in zip(sibs, sibs[1:]) if v > w or children[v]]
 
 
 def pi_leaf_map(t: Tree, leaf: int) -> int:
@@ -498,7 +499,7 @@ def pi_inverse(t: Tree, v: int) -> int:
     """Leaf at the end of the leftmost downward path from v."""
     kids = t.kids
     _require_vertex(kids, v)
-    if v not in _bad_scan(kids, reverse=True):
+    if v not in _bad(kids, True):
         raise ValueError(f"{v} is not reverse-bad")
     while kids[v]:
         v = kids[v][0]
@@ -626,8 +627,8 @@ def tree_stats(t: Tree) -> VertexStats:
         leaves=len(leaves),
         nodes=sum(1 for ks in kids[1:] if ks),
         klazar_violators=_klazar_violators(kids),
-        bad=_bad_scan(kids, reverse=False),
-        reverse_bad=_bad_scan(kids, reverse=True),
+        bad=frozenset(_bad(kids, False)),
+        reverse_bad=frozenset(_bad(kids, True)),
         non_dt_leaves=sum(1 for v in leaves if v not in dts),
         descent_terminators=dts,
     )
@@ -644,30 +645,36 @@ def w12_of_shape(s) -> int:
 
 def _labelings(s, n):
     """Yield the child table (tuples indexed by label) of every increasing
-    labeling of the n-edge shape s.
+    labeling of the n-edge shape s, as a fresh list.
 
     These are the linear extensions of the shape: number its vertices
     once, then give labels 1..n, in order, to any unlabelled vertex whose
-    parent already has a label.
+    parent already has a label.  One loop walks them on an undo stack.
     """
     shapes, kids = [s], []  # kids[i]: numbers of vertex i's children
     for shape in shapes:  # numbers vertices breadth first
         kids.append(tuple(range(len(shapes), len(shapes) + len(shape))))
         shapes.extend(shape)
+    inner = [(i, ks) for i, ks in enumerate(kids) if ks]
     label = [0] * (n + 1)
-
-    def extend(k, ready):  # ready: unlabelled vertices with a labelled parent
-        if k > n:
+    stack = []  # (ready, j) per labelled vertex: the choice to undo
+    ready, j = kids[0], 0  # ready: unlabelled vertices with a labelled parent
+    while True:
+        if len(stack) == n:
             table = [()] * (n + 1)
-            for i, ks in enumerate(kids):
-                table[label[i]] = tuple(label[c] for c in ks)
+            for i, ks in inner:
+                table[label[i]] = tuple(map(label.__getitem__, ks))
             yield table
+        elif j < len(ready):
+            i = ready[j]
+            stack.append((ready, j))
+            label[i] = len(stack)
+            ready, j = ready[:j] + ready[j + 1:] + kids[i], 0
+            continue
+        if not stack:
             return
-        for j, i in enumerate(ready):
-            label[i] = k
-            yield from extend(k + 1, ready[:j] + ready[j + 1:] + kids[i])
-
-    yield from extend(1, kids[0])
+        ready, j = stack.pop()
+        j += 1
 
 
 def klazar_weighted_sum(n: int) -> int:

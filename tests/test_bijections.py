@@ -305,9 +305,10 @@ def test_checks_validate_nothing_and_a_public_map_validates_once(monkeypatch):
         count(module, "check_increasing_tree")
     count(bijections, "check_marked_tree")
     count(codes, "_validate_code")
-    for check in (checks.check_phi, checks.check_sigma, checks.check_tau, checks.check_Phi_equality):
-        assert check(5)[0]
-    assert calls == Counter()
+    count(codes, "validate_word")
+    for name, (check, max_n) in checks.CHECKS.items():
+        assert check(max_n)[0], name
+        assert calls == Counter(), name
     Phi_explicit(tree_from_text("0(2,1(3))"))
     assert calls == Counter({"check_increasing_tree": 1})
 

@@ -151,15 +151,18 @@ TREE_COMMANDS = [["map", "--which", w] for w, (parse, _) in cli.MAPS.items()
 
 @st.composite
 def tree_command_inputs(draw):
-    """A tree command and a tree text for it: a valid tree, or one with a
-    dropped parenthesis, a repeated or a missing label, a stray
-    character, or deep nesting."""
+    """A tree command, a tree text for it, and the text again if it is
+    out of order (else None).  The text is a valid tree, or one with a
+    dropped parenthesis, a repeated or a missing label, a vertex's label
+    swapped with its first child's (still 0..n, but out of order), a
+    stray character, or deep nesting."""
     n = draw(st.integers(0, 12))
     word = [draw(st.integers(1, 2 * k - 1)) for k in range(1, n + 1)]
     text = tree_to_text(code_to_tree(trapezoidal_to_code(word)))
-    fault = draw(st.sampled_from(["none", "paren", "repeat", "missing", "stray", "deep"]))
+    fault = draw(st.sampled_from(["none", "paren", "repeat", "missing", "swap", "stray", "deep"]))
     labels = [m.span() for m in re.finditer(r"\d+", text)]
     parens = [i for i, ch in enumerate(text) if ch in "()"]
+    parents = [k for k, (_, b) in enumerate(labels) if k and text[b:b + 1] == "("]  # non-root
     if fault == "paren" and parens:
         i = draw(st.sampled_from(parens))
         text = text[:i] + text[i + 1:]
@@ -167,11 +170,16 @@ def tree_command_inputs(draw):
         a, b = draw(st.sampled_from(labels))
         new = draw(st.integers(0, n)) if fault == "repeat" else n + draw(st.integers(1, 3))
         text = text[:a] + str(new) + text[b:]
+    elif fault == "swap" and parents:
+        k = draw(st.sampled_from(parents))  # label k and its first child's trade places
+        (a, b), (c, d) = labels[k], labels[k + 1]
+        text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
     elif fault == "stray":
         i = draw(st.integers(0, len(text)))
         text = text[:i] + draw(st.sampled_from("(),x -|0")) + text[i:]
     elif fault == "deep":
         text = path_tree_text(draw(st.integers(1000, 3000)))
+    out_of_order = text if fault == "swap" and parents else None
     command = draw(st.sampled_from(TREE_COMMANDS))
     if command == ["draw"]:
         command = command + ["--format", draw(st.sampled_from(["ascii", "svg"]))]
@@ -179,7 +187,7 @@ def tree_command_inputs(draw):
         command = command + ["--format", draw(st.sampled_from(["json", "text"]))]
     if "phi" in command and draw(st.booleans()):
         text += "|" + ",".join(str(draw(st.integers(-1, n + 1))) for _ in range(draw(st.integers(0, 3))))
-    return command, text
+    return command, text, out_of_order
 
 
 def assert_exit_0_or_2_without_traceback(command, text):
@@ -193,12 +201,18 @@ def assert_exit_0_or_2_without_traceback(command, text):
     else:
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith("error: ")
+    return code, err.getvalue()
 
 
 @settings(max_examples=200, deadline=None)
 @given(tree_command_inputs())
 def test_tree_commands_exit_0_or_2_and_never_print_a_traceback(case):
-    assert_exit_0_or_2_without_traceback(*case)
+    command, text, out_of_order = case
+    assert_exit_0_or_2_without_traceback(command, text)
+    if out_of_order is not None:  # every tree map rejects it; draw need not
+        for command in TREE_COMMANDS[:-1]:
+            code, err = assert_exit_0_or_2_without_traceback(command, out_of_order)
+            assert code == 2 and "does not exceed parent" in err, command
 
 
 def test_tree_maps_reject_a_child_below_its_parent(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -93,6 +94,20 @@ def test_json_roundtrip():
     m = matching_from_text("1 3/2 10/4 7/5 9/6 8")
     assert Matching.from_json(m.to_json()) == m
     assert m.to_json()["pairs"] == [[1, 3], [2, 10], [4, 7], [5, 9], [6, 8]]
+
+
+def test_matchings_are_equal_and_hash_equal_by_their_partner_tables():
+    ms = [m for n in range(5) for m in enumerate_matchings(n)]
+    copies = [Matching(tuple(m.partner)) for m in ms]
+    for m, c in zip(ms, copies):
+        assert m == c and hash(m) == hash(c) and not m != c
+        assert m != m.partner and m.partner != m  # never equal to a bare tuple
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(m, protocol)) == m
+    for a, b in zip(ms, ms[1:]):  # distinct partner tables, distinct matchings
+        assert a.partner != b.partner and a != b and not a == b
+    assert len(set(ms) | set(copies)) == len(ms)
+    assert Matching((0,)) == EMPTY_MATCHING and {Matching((0,)), EMPTY_MATCHING} == {EMPTY_MATCHING}
 
 
 def test_from_pairs_rejects_bad_input():

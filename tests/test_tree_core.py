@@ -312,7 +312,7 @@ def test_pi_maps_are_inverse_on_reverse_bad_vertices():
 
 
 def test_w12_of_shape_agrees_with_filtered_enumeration():
-    for n in range(7):
+    for n in range(8):
         tally = {}
         for t in enumerate_increasing_trees(n):
             if not klazar_violators(t):
