@@ -33,10 +33,10 @@ from .tree_core import (
     _klazar_violators,
     _partner,
     _remove_largest,
-    _tables,
     apply_F_tables,
     check_increasing_tree,
     check_marked_tree,
+    tables_of,
 )
 
 
@@ -57,7 +57,7 @@ def phi(mt: MarkedTree) -> Tree:
 
 
 def _phi(mt):
-    parent, children = _tables(mt.tree)
+    parent, children = tables_of(mt.tree)
     for u in sorted(mt.marked, reverse=True):
         assert children[u], "marks are interior vertices"
         _children_to_cohort(parent, children, u)
@@ -74,7 +74,7 @@ def phi_inverse(t: Tree) -> MarkedTree:
 
 
 def _phi_inverse(t):
-    parent, children = _tables(t)
+    parent, children = tables_of(t)
     marks = _klazar_violators(children)
     for u in marks:
         _cohort_to_children(parent, children, u)
@@ -91,7 +91,7 @@ def sigma(t: Tree):
 
 
 def _sigma(t, n):
-    parent, children = _tables(t)
+    parent, children = tables_of(t)
     code = []
     for k in range(n, 0, -1):
         apply_F_tables(parent, children)
@@ -112,14 +112,10 @@ def _sigma_inverse(code):
     return Tree(children)
 
 
-def violators_from_treecode(code):
-    """(violator, partner) pairs of sigma_inverse(code), read off the code:
-    one pair (i, j) per index i whose (L,i) multiplicity is odd, with j
-    the last (1-based) position carrying index i under either letter."""
-    return _odd_pairs(validate_tree_code(code), "L")
-
-
 def _odd_pairs(code, letter):
+    """One pair (i, j) per index i of odd (letter, i) multiplicity, j the
+    last (1-based) position carrying i: with "L" the (violator, partner)
+    pairs of sigma_inverse(code), with "T" the uplines of tau(code)."""
     odd = [i for i, c in Counter(i for X, i in code if X == letter).items() if c % 2]
     last = {i: pos for pos, (_, i) in enumerate(code, start=1)}
     return {(i, last[i]) for i in odd}
@@ -187,12 +183,6 @@ def _tau_entry(partner):
     return ("B", i)
 
 
-def uplines_from_matchcode(code):
-    """Uplines of tau(code), read off the code: one upline (i, j) per
-    index i with odd (T,i) multiplicity, j the last position carrying i."""
-    return _odd_pairs(validate_match_code(code), "T")
-
-
 # ---------------------------------------------------------------------------
 # Phi: trees -> matchings, violator/partner pairs -> uplines
 
@@ -219,7 +209,7 @@ def Phi_recursive(t: Tree) -> Matching:
 
 
 def _Phi_recursive(t, n):
-    parent, children = _tables(t)
+    parent, children = tables_of(t)
     dots = []
     for k in range(n, 0, -1):
         p = parent[k]

@@ -6,7 +6,9 @@ order `klazar verify --check all` runs them.  The library is called
 through module attributes, so a rebound module function reaches the
 checks too.  The objects come from the enumerators and are valid by
 construction: no check validates them, each calls the _-prefixed
-kernels and reads its counts off the child or partner tables.
+kernels and reads its counts off the child or partner tables.  The one
+exception is check_class_split: it calls the public recurrence_class
+and class-2/3 maps, and those validate each diagram again.
 """
 
 from __future__ import annotations

@@ -113,12 +113,6 @@ class CountTable:
             if v < 0:
                 raise ValueError(f"negative entry at {idx}")
 
-    def get(self, idx) -> int:
-        idx = tuple(idx)
-        if len(idx) != self.dim:
-            raise ValueError(f"index {idx} has wrong dimension")
-        return self.entries.get(idx, 0)
-
     def ranges(self):
         """Inclusive (lo, hi) bounds per axis over the stored support."""
         if not self.entries:

@@ -47,15 +47,6 @@ class DotRef:
             return DotRef(TOP, (x + 1) // 2)
         return DotRef(BOT, x // 2)
 
-    def to_json(self):
-        return {"row": self.row, "pos": self.pos}
-
-    @staticmethod
-    def from_json(obj) -> "DotRef":
-        if not isinstance(obj, dict):
-            raise ValueError(f"bad DotRef: {obj!r}")
-        return DotRef(obj.get("row"), obj.get("pos"))
-
 
 class Matching:
     """Perfect matching of [2n], stored as a partner table.

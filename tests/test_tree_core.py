@@ -87,10 +87,10 @@ def test_validation_catches_bad_labelings():
 def test_tables_roundtrip(w):
     t = tree_from_word(w)
     parent, children = tables_of(t)
-    assert Tree(map(tuple, children.values())) == t
-    assert len(parent) == len(w)
-    for v, p in parent.items():
-        assert v > p, "child labels must exceed the parent"
+    assert Tree(children) == t
+    assert len(parent) == len(w) + 1 and parent[0] is None
+    for v in range(1, len(parent)):
+        assert parent[v] < v, "child labels must exceed the parent"
 
 
 @given(words())
@@ -190,7 +190,7 @@ def test_tree_stats_is_selfconsistent():
             dts = descent_terminators(t)
             assert s.descent_terminators == dts
             parent, children = tables_of(t)
-            leaf_set = {v for v in parent if not children[v]}
+            leaf_set = {v for v in range(1, len(parent)) if not children[v]}
             assert s.non_dt_leaves == len(leaf_set - dts)
 
 
@@ -203,12 +203,12 @@ def test_tree_stats_matches_the_standalone_functions():
         dts = descent_terminators(t)
         _, children = tables_of(t)  # the root is a leaf only when n = 0
         assert s.leaves == shape_leaves(shape_of(t))
-        assert s.nodes == sum(1 for v in children if v and children[v])
+        assert s.nodes == sum(1 for v in range(len(children)) if v and children[v])
         assert s.klazar_violators == klazar_violators(t)
         assert s.bad == bad_vertices(t)
         assert s.reverse_bad == reverse_bad_vertices(t)
         assert s.descent_terminators == dts
-        assert s.non_dt_leaves == sum(1 for v in children if not children[v] and v not in dts)
+        assert s.non_dt_leaves == sum(1 for v in range(len(children)) if not children[v] and v not in dts)
 
 
 def test_root_only_tree_counts_one_leaf():
@@ -220,7 +220,7 @@ def test_descent_terminators_have_nonempty_big_cohort():
     for t in enumerate_increasing_trees(4):
         dts = descent_terminators(t)
         parent, _ = tables_of(t)
-        for v in parent:
+        for v in range(1, len(parent)):
             assert (v in dts) == (len(big_cohort(t, v)) > 0)
 
 
