@@ -6,7 +6,9 @@ order `klazar verify --check all` runs them.  The library is called
 through module attributes, so a rebound module function reaches the
 checks too.  The objects come from the enumerators and are valid by
 construction: no check validates them, each calls the _-prefixed
-kernels and reads its counts off the child or partner tables.  The one
+kernels and reads its counts off the child or partner tables.  The
+partner-table count readers, matching_core._parity_pairs and
+_verticals, live beside the line readers they count.  The one
 exception is check_class_split: it calls the public recurrence_class
 and class-2/3 maps, and those validate each diagram again.
 """
@@ -43,22 +45,6 @@ def _tree_stat_tally(n, width):
         violators = tree_core._klazar_violators(t.kids)
         tally[(len(violators), sum(v not in dts for v in leaves), len(leaves))[:width]] += 1
     return dict(tally)
-
-
-def _parity_pairs(p):
-    """(#even-to-odd, #odd-to-even) pairs of a partner table, read left to
-    right: (#uplines, #weak downlines).  An odd x with an even partner
-    ends an upline if the partner is smaller, else starts a weak downline."""
-    up = down = 0
-    for x in range(1, len(p), 2):
-        if not p[x] % 2:
-            up += p[x] < x
-            down += p[x] > x
-    return up, down
-
-
-def _verticals(p):  # read off a partner table: odd x matched to x + 1
-    return sum(1 for x in range(1, len(p), 2) if p[x] == x + 1)
 
 
 def check_eq1(max_n):
@@ -163,7 +149,7 @@ def check_pm_formula(max_n):
     for n in range(max_n + 1):
         tally = Counter()  # no-upline diagrams by (#even-even pairs, largest such end / 2)
         for p in (m.partner for m in matching_core.enumerate_matchings(n)):
-            if not _parity_pairs(p)[0]:
+            if not matching_core._parity_pairs(p)[0]:
                 ends = [x for x in range(2, len(p), 2) if p[x] < x and not p[x] % 2]
                 tally[(len(ends), ends[-1] // 2 if ends else 0)] += 1
         for k in range(n // 2 + 1):
@@ -182,7 +168,7 @@ def check_pm_formula(max_n):
 def check_theorem8(max_n):
     for n in range(max_n + 1):
         for m in matching_core.enumerate_matchings(n):
-            if _parity_pairs(m.partner)[0]:
+            if matching_core._parity_pairs(m.partner)[0]:
                 continue
             back = matching_core._compose(*matching_core._decompose(m))
             if back != m:
@@ -194,7 +180,7 @@ def check_class_split(max_n):
     for n in range(1, max_n + 1):
         by_class = {1: [], 2: [], 3: []}
         for m in matching_core.enumerate_matchings(n):
-            if not _parity_pairs(m.partner)[0]:
+            if not matching_core._parity_pairs(m.partner)[0]:
                 by_class[matching_core.recurrence_class(m)].append(m)
         t1, t2, t3 = counting.eq4_terms(n)
         sizes = (len(by_class[1]), len(by_class[2]), len(by_class[3]))
@@ -285,7 +271,7 @@ def check_cor13(max_n):
     gf = series.gf_kv(max_n)
     for n in range(max_n + 1):
         d1 = Counter(len(tree_core._klazar_violators(t.kids)) for t in tree_core.enumerate_increasing_trees(n))
-        d2 = Counter(_parity_pairs(m.partner)[0] for m in matching_core.enumerate_matchings(n))
+        d2 = Counter(matching_core._parity_pairs(m.partner)[0] for m in matching_core.enumerate_matchings(n))
         d3 = Counter(codes._word_parity_stats(w)[0] for w in codes.enumerate_words(n))
         if not d1 == d2 == d3:
             return False, {"n": n, "violators": _kv_list(d1), "uplines": _kv_list(d2),
@@ -303,7 +289,7 @@ def check_joint_dist(max_n):
         if len(images) != counting.odd_double_factorial(2 * n - 1):
             return False, {"n": n, "images": len(images)}, []
         word_stats = Counter(map(codes._word_parity_stats, codes.enumerate_words(n)))
-        match_stats = Counter(_parity_pairs(m.partner) for m in matching_core.enumerate_matchings(n))
+        match_stats = Counter(matching_core._parity_pairs(m.partner) for m in matching_core.enumerate_matchings(n))
         if word_stats != match_stats:
             return False, {"n": n, "words": _kv_list(word_stats), "matchings": _kv_list(match_stats)}, []
     return True, None, []
@@ -314,8 +300,8 @@ def check_vertical_gf(max_n):
     ge = series.gf_even_odd(max_n)
     for n in range(max_n + 1):
         ps = [m.partner for m in matching_core.enumerate_matchings(n)]
-        vert = Counter((_verticals(p),) for p in ps)
-        eo = Counter((down,) for up, down in map(_parity_pairs, ps) if not up)
+        vert = Counter((matching_core._verticals(p),) for p in ps)
+        eo = Counter((down,) for up, down in map(matching_core._parity_pairs, ps) if not up)
         if dict(vert) != gv.coefficient(n):
             return False, {"n": n, "stat": "verticals", "tally": _kv_list(vert)}, []
         if dict(eo) != ge.coefficient(n):

@@ -20,7 +20,7 @@ from collections import Counter
 
 from . import bijections, codes, counting, matching_core, series, tree_core
 from .checks import CHECKS
-from .matching_core import Matching, classify_edges, uplines, weak_downlines
+from .matching_core import Matching, classify_edges
 from .tree_core import MarkedTree, Tree
 
 ENUM_GUARD = 10      # exhaustive object streams blow up as (2n-1)!!
@@ -153,7 +153,7 @@ ENUM_KINDS = {
     ),
     "matchings": lambda n: matching_core.enumerate_matchings(n),
     "no-upline-matchings": lambda n: (
-        m for m in matching_core.enumerate_matchings(n) if not uplines(m)
+        m for m in matching_core.enumerate_matchings(n) if not matching_core._parity_pairs(m.partner)[0]
     ),
     "shapes": lambda n: tree_core.enumerate_shapes(n),
     "words": lambda n: codes.enumerate_words(n),
@@ -229,8 +229,9 @@ def cmd_map(args) -> int:
 
 
 def _edge_class_sizes(m):
-    ec = classify_edges(m)
-    return (len(ec.uplines), len(ec.downlines), len(ec.verticals))
+    up, down = matching_core._parity_pairs(m.partner)
+    vert = matching_core._verticals(m.partner)
+    return (up, down - vert, vert)
 
 
 # kind -> stat -> statistic; each kind's objects come from ENUM_KINDS
@@ -242,9 +243,9 @@ STATS = {
         "leaves": lambda t: tree_core.tree_stats(t).leaves,
     },
     "matchings": {
-        "uplines": lambda m: len(uplines(m)),
-        "verticals": lambda m: len(classify_edges(m).verticals),
-        "odd-to-even": lambda m: len(weak_downlines(m)),
+        "uplines": lambda m: matching_core._parity_pairs(m.partner)[0],
+        "verticals": lambda m: matching_core._verticals(m.partner),
+        "odd-to-even": lambda m: matching_core._parity_pairs(m.partner)[1],
         "joint-upline-downline-vertical": _edge_class_sizes,
     },
     "words": {

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .tree_core import _bad, enumerate_increasing_trees
 
@@ -32,14 +31,19 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=None)
+_STIRLING_ROWS = [[1]]  # row n holds S(n, 0..n); rows are added, never changed
+
+
 def stirling2(n: int, k: int) -> int:
-    """Partition count of an n-set into k nonempty blocks; 0 out of range."""
-    if n == 0 and k == 0:
-        return 1
-    if n <= 0 or k <= 0 or k > n:
+    """Partition count of an n-set into k nonempty blocks; 0 out of range.
+    Rows are built by a loop, so no n is limited by the recursion depth."""
+    if k < 0 or k > n:
         return 0
-    return stirling2(n - 1, k - 1) + k * stirling2(n - 1, k)
+    rows = _STIRLING_ROWS
+    while len(rows) <= n:
+        prev = rows[-1]
+        rows.append([0, *(prev[j - 1] + j * prev[j] for j in range(1, len(prev))), 1])
+    return rows[n][k]
 
 
 def w12_sequence(max_n: int) -> list:
@@ -134,26 +138,6 @@ class CountTable:
             "ranges": [list(r) for r in ranges],
             "values": build(0, ()) if self.entries else [],
         }
-
-    @staticmethod
-    def from_json(obj) -> "CountTable":
-        dim = int(obj["dim"])
-        ranges = [tuple(r) for r in obj["ranges"]]
-        entries = {}
-
-        def walk(axis, prefix, block):
-            lo = ranges[axis][0]
-            for off, item in enumerate(block):
-                idx = prefix + (lo + off,)
-                if axis == dim - 1:
-                    if item:
-                        entries[idx] = int(item)
-                else:
-                    walk(axis + 1, idx, item)
-
-        if obj["values"]:
-            walk(0, (), obj["values"])
-        return CountTable(dim, entries)
 
 
 def refined_tree_counts(max_n: int) -> CountTable:

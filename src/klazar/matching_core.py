@@ -13,7 +13,10 @@ size recurrence.  The elevator is one in-place kernel on a partner list
 the codings read each upline question off one entry of it: bottom b
 starts an upline iff partner[2b] is odd and > 2b; an upline ends at top
 i iff partner[2i-1] is even and < 2i-1; a weak downline hangs from top
-i iff partner[2i-1] is even and > 2i-1.
+i iff partner[2i-1] is even and > 2i-1.  Every reader of a diagram's
+lines lives here: uplines, weak_downlines and classify_edges return the
+lines; the count readers _parity_pairs and _verticals serve the checks,
+the CLI and this module wherever only a count or an emptiness test is read.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ class Matching:
         return tuple((x, y) for x, y in enumerate(self.partner) if x < y)
 
     def __repr__(self):
-        return f"Matching.parse({matching_to_text(self)!r})"
+        return f"matching_from_text({matching_to_text(self)!r})"
 
     @staticmethod
     def from_pairs(pairs, n=None) -> "Matching":
@@ -95,10 +98,6 @@ class Matching:
         if len(seen) != 2 * n:
             raise ValueError("pairs do not cover [2n]")
         return Matching(tuple(partner))
-
-    @staticmethod
-    def parse(text: str) -> "Matching":
-        return matching_from_text(text)
 
     def to_json(self):
         return {"n": self.n, "pairs": [list(p) for p in self.pairs()]}
@@ -160,25 +159,17 @@ class EdgeClasses(NamedTuple):
 
 
 def classify_edges(m: Matching) -> EdgeClasses:
-    up, vert, down, tarc, barc = set(), set(), set(), set(), set()
-    for a, b in m.pairs():
-        if a % 2 and b % 2:
-            tarc.add(((a + 1) // 2, (b + 1) // 2))
-        elif a % 2 == 0 and b % 2 == 0:
-            barc.add((a // 2, b // 2))
-        else:
-            o, e = (a, b) if a % 2 else (b, a)
-            t, bo = (o + 1) // 2, e // 2
-            if e > o:
-                if t == bo:
-                    vert.add(t)
-                else:
-                    down.add((t, bo))
-            else:
-                up.add((bo, t))
+    """The five classes, read off the partner table: the lines from
+    uplines and weak_downlines, the arcs as x < partner[x] of equal parity."""
+    p = m.partner
+    weak = weak_downlines(m)
+    arcs = [(x, y) for x, y in enumerate(p) if x < y and (y - x) % 2 == 0]
     return EdgeClasses(
-        frozenset(up), frozenset(vert), frozenset(down),
-        frozenset(tarc), frozenset(barc),
+        uplines(m),
+        frozenset(t for t, b in weak if t == b),
+        frozenset((t, b) for t, b in weak if t != b),
+        frozenset(((x + 1) // 2, (y + 1) // 2) for x, y in arcs if x % 2),
+        frozenset((x // 2, y // 2) for x, y in arcs if not x % 2),
     )
 
 
@@ -194,6 +185,22 @@ def weak_downlines(m: Matching) -> frozenset:
     top i starts one iff partner[2i-1] is even and > 2i-1."""
     p = m.partner
     return frozenset(((x + 1) // 2, p[x] // 2) for x in range(1, len(p), 2) if p[x] % 2 == 0 and p[x] > x)
+
+
+def _parity_pairs(p):
+    """(#even-to-odd, #odd-to-even) pairs of a partner table, read left to
+    right: (#uplines, #weak downlines).  An odd x with an even partner
+    ends an upline if the partner is smaller, else starts a weak downline."""
+    up = down = 0
+    for x in range(1, len(p), 2):
+        if not p[x] % 2:
+            up += p[x] < x
+            down += p[x] > x
+    return up, down
+
+
+def _verticals(p):  # read off a partner table: odd x matched to x + 1
+    return sum(1 for x in range(1, len(p), 2) if p[x] == x + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +325,6 @@ class StirlingMatching:
     cols: int
     edges: frozenset  # of (top, bottom) pairs
 
-    def to_json(self):
-        return {"cols": self.cols, "edges": sorted(map(list, self.edges))}
-
 
 @dataclass(frozen=True)
 class PowerMatching:
@@ -334,12 +338,6 @@ class PowerMatching:
     top_count: int
     bottom_count: int
     edges: frozenset  # of (top, bottom) pairs
-
-    def to_json(self):
-        return {
-            "cols": [self.top_count, self.bottom_count],
-            "edges": sorted(map(list, self.edges)),
-        }
 
 
 def check_stirling(sm: StirlingMatching) -> int:
@@ -494,7 +492,7 @@ def decompose_no_upline(m: Matching):
     a (2k+1, n-j) power matching whose phantom extra top dot sits at
     the far right.
     """
-    if uplines(m):
+    if _parity_pairs(m.partner)[0]:
         raise ValueError("diagram has an upline")
     return _decompose(m)
 
@@ -554,9 +552,8 @@ def _compose(even_pm, odd_pm, stirling, power):
         assert len(free) == 2 * even_pm.n, "component sizes are inconsistent"
         for x, y in zip(free, pm.partner[1:]):
             partner[x] = free[y - 1]
-    out = Matching(tuple(partner))
-    assert not uplines(out)
-    return out
+    assert not _parity_pairs(partner)[0]
+    return Matching(tuple(partner))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +568,7 @@ def recurrence_class(m: Matching) -> int:
     Class 3: the rest.  Comparisons are between the matched numbers in
     [2n], not row positions.
     """
-    if uplines(m):
+    if _parity_pairs(m.partner)[0]:
         raise ValueError("recurrence classes are for no-upline diagrams")
     n = m.n
     if n < 1:

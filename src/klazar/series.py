@@ -132,17 +132,6 @@ class TruncatedEGF:
             ],
         }
 
-    @staticmethod
-    def from_json(obj) -> "TruncatedEGF":
-        markers = tuple(obj["markers"])
-        coeffs = []
-        for terms in obj["coeffs"]:
-            p = {}
-            for t in terms:
-                _padd_into(p, {tuple(t["exp"]): Fraction(t["num"], t["den"])})
-            coeffs.append(p)
-        return TruncatedEGF(int(obj["order"]), markers, tuple(coeffs))
-
 
 def egf_const(order: int, c, markers=()) -> TruncatedEGF:
     nv = len(markers)

@@ -51,11 +51,7 @@ class Tree:
         return hash(self.kids)
 
     def __repr__(self):
-        return f"Tree.parse({tree_to_text(self)!r})"
-
-    @staticmethod
-    def parse(text: str) -> "Tree":
-        return tree_from_text(text)
+        return f"tree_from_text({tree_to_text(self)!r})"
 
 
 @dataclass(frozen=True)

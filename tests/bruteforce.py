@@ -52,6 +52,15 @@ def bf_stirling2(n, k):
     return sum(1 for p in bf_set_partitions(n) if len(p) == k)
 
 
+def bf_stirling2_by_surjections(n, k):
+    """Surjections of an n-set onto k labelled blocks, counted by
+    inclusion-exclusion over the blocks missed, divided by k!."""
+    if k < 0 or n < 0:
+        return 0
+    onto = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+    return onto // math.factorial(k)
+
+
 def bf_stirling_matchings(n, k):
     """Every set of n - k disjoint edges (a, b), 1 <= a < b <= n, as a
     frozenset, grown top by top: each top is left out or joined to an
@@ -120,6 +129,25 @@ def bf_weak_downlines(pairs):
         if o % 2 == 1 and e % 2 == 0 and e > o:
             out.add(((o + 1) // 2, e // 2))
     return out
+
+
+def bf_classify(pairs):
+    """The five classes of a matching's pairs (a, b), a < b, in row
+    positions: uplines (bottom, top), verticals, strict downlines
+    (top, bottom), top arcs and bottom arcs (left, right)."""
+    up, vert, down, tarc, barc = set(), set(), set(), set(), set()
+    for a, b in pairs:
+        if a % 2 == 1 and b % 2 == 1:
+            tarc.add(((a + 1) // 2, (b + 1) // 2))
+        elif a % 2 == 0 and b % 2 == 0:
+            barc.add((a // 2, b // 2))
+        elif a % 2 == 0:  # the even end is the smaller one
+            up.add((a // 2, (b + 1) // 2))
+        elif (a + 1) // 2 == b // 2:
+            vert.add(b // 2)
+        else:
+            down.add(((a + 1) // 2, b // 2))
+    return up, vert, down, tarc, barc
 
 
 def bf_shift(pairs, i):

@@ -5,11 +5,10 @@ import random
 from itertools import chain
 
 import bruteforce as bf
-from klazar import bijections, checks, codes, matching_core, tree_core
+from klazar import bijections, codes, matching_core, tree_core
 from klazar.codes import enumerate_words
-from klazar.matching_core import classify_edges, enumerate_matchings, uplines
+from klazar.matching_core import enumerate_matchings, uplines
 from klazar.tree_core import bad_vertices, enumerate_increasing_trees, tree_to_json
-from test_matching_core import seeded_matchings_at_n500
 
 
 def seeded_words_at_n200():
@@ -34,21 +33,6 @@ def seeded_no_upline_matchings_at_n500():
             code[k1 - 1] = code[k2 - 1] = ("T", rng.randint(1, min(k1, k2) - 1))
         out.append(bijections.tau(code))
     return out
-
-
-def test_partner_table_counts_agree_with_the_edge_classes():
-    small, large = seeded_matchings_at_n500()
-    for m in [*small, *large]:
-        p = m.partner
-        assert checks._verticals(p) == len(classify_edges(m).verticals)
-        assert checks._parity_pairs(p)[0] == len(uplines(m))
-        pairs = m.pairs()  # each pair read left to right, smaller first
-        assert checks._parity_pairs(p) == (
-            sum(1 for a, b in pairs if a % 2 == 0 and b % 2 == 1),
-            sum(1 for a, b in pairs if a % 2 == 1 and b % 2 == 0),
-        )
-    assert all(checks._parity_pairs(m.partner)[0] for m in large)
-    assert any(checks._verticals(m.partner) for m in large)
 
 
 def test_word_parity_kernel_agrees_with_the_oracle():

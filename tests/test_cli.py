@@ -451,6 +451,12 @@ def test_table_eq4_terms(monkeypatch, capsys):
     assert out == "7 21 7\n"
 
 
+def test_table_eq4_terms_far_past_the_recursion_limit(monkeypatch, capsys):
+    code, out, _ = run(["table", "--which", "eq4-terms", "--n", "600", "--force"], capsys=capsys)
+    assert code == 0
+    assert len(out.split()) == 3 and all(x.isdigit() for x in out.split())
+
+
 def test_table_guard(monkeypatch, capsys):
     code, _, err = run(["table", "--which", "w12", "--n", "31"], capsys=capsys)
     assert code == 2

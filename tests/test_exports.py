@@ -1,4 +1,5 @@
-"""A guard against dead code: every function the package exports is used."""
+"""A guard against dead code: every function the package exports is used;
+and the reprs name exported functions."""
 
 import ast
 import inspect
@@ -57,3 +58,12 @@ def test_every_exported_function_is_named_outside_its_def():
               if callable(getattr(klazar, name)) and not inspect.isclass(getattr(klazar, name))
               and not refs.counts[name]}
     assert unused == set(KEPT_FOR_THE_TESTS)
+
+
+def test_reprs_evaluate_in_the_package_namespace_to_equal_objects():
+    t = klazar.tree_from_text("0(1(3,4),2)")
+    m = klazar.matching_from_text("1 3/2 10/4 7/5 9/6 8")
+    for x in (t, m, klazar.Tree(((),)), klazar.EMPTY_MATCHING):
+        assert eval(repr(x), vars(klazar)) == x
+    assert repr(t) == "tree_from_text('0(1(3,4),2)')"
+    assert repr(m) == "matching_from_text('1 3/2 10/4 7/5 9/6 8')"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce as bf
+from klazar import matching_core
 from klazar.matching_core import (
     EMPTY_MATCHING,
     DotRef,
@@ -154,6 +155,28 @@ def test_weak_downlines_read_off_the_partner_table_agree_with_the_oracle():
     for m in [*small, *large]:
         assert weak_downlines(m) == bf.bf_weak_downlines(m.pairs())
     assert any(weak_downlines(m) for m in large)
+
+
+def test_partner_table_counts_agree_with_the_edge_classes():
+    small, large = seeded_matchings_at_n500()
+    for m in [*small, *large]:
+        p = m.partner
+        assert matching_core._verticals(p) == len(classify_edges(m).verticals)
+        assert matching_core._parity_pairs(p)[0] == len(uplines(m))
+        pairs = m.pairs()  # each pair read left to right, smaller first
+        assert matching_core._parity_pairs(p) == (
+            sum(1 for a, b in pairs if a % 2 == 0 and b % 2 == 1),
+            sum(1 for a, b in pairs if a % 2 == 1 and b % 2 == 0),
+        )
+    assert all(matching_core._parity_pairs(m.partner)[0] for m in large)
+    assert any(matching_core._verticals(m.partner) for m in large)
+
+
+def test_edge_classes_agree_with_the_oracle_classes():
+    small, large = seeded_matchings_at_n500()
+    for m in [*small, *large]:
+        assert tuple(map(set, classify_edges(m))) == bf.bf_classify(m.pairs())
+    assert all(map(any, zip(*map(classify_edges, large))))  # each class occurs at n = 500
 
 
 def test_edge_classes_by_hand():
