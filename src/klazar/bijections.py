@@ -4,22 +4,23 @@ phi repairs violator-free trees with marked interior vertices into
 arbitrary increasing trees, one cut-and-paste per mark.  sigma and tau
 are insertion codings that sandwich an involution (F) or consult the
 upline structure before choosing the insertion target, arranged so that
-an (L,i) or (T,i) entry of odd multiplicity pins down one violator or
-one upline of the final object.  Phi (recursive and explicit forms)
-carries trees to matchings so that violator/partner pairs become
-uplines.  tau_variant trades uplines for a different pair of matching
-statistics.
+an even letter 2i of odd multiplicity in the trapezoidal word pins down
+one violator or one upline.  Phi carries trees to matchings so that
+violator/partner pairs become uplines; Phi_explicit is tau after sigma,
+the letter swap being the identity on words.  tau_variant trades
+uplines for a different pair of matching statistics.
 
-Each public map validates its input once and hands it to a _-prefixed
-kernel that trusts it; the compositions and klazar.checks call the
-kernels on objects that are valid by construction.
+Each public map validates its input once and hands its word to a
+_-prefixed kernel that trusts it; kernels take and return words, the
+compositions and klazar.checks call them on valid objects.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .codes import _swap_letters, validate_match_code, validate_tree_code
+from .codes import _code_to_word, _matchcode_to_word, _word_to_code, _word_to_matchcode
+from .codes import validate_match_code, validate_tree_code
 from .matching_core import Matching, _enlarge, _prune, _shift
 from .tree_core import (
     MarkedTree,
@@ -87,37 +88,37 @@ def _phi_inverse(t):
 
 def sigma(t: Tree):
     """Code t by deleting n, n-1, ..., 1, applying F before each record."""
-    return _sigma(t, check_increasing_tree(t))
+    return _word_to_code(_sigma(t, check_increasing_tree(t)))
 
 
 def _sigma(t, n):
     parent, children = tables_of(t)
-    code = []
+    word = []
     for k in range(n, 0, -1):
         apply_F_tables(parent, children)
-        code.append(_remove_largest(parent, children, k))
-    return tuple(reversed(code))
+        word.append(_remove_largest(parent, children, k))
+    return tuple(reversed(word))
 
 
 def sigma_inverse(code) -> Tree:
     """Rebuild from a code, applying F after every insertion."""
-    return _sigma_inverse(validate_tree_code(code))
+    return _sigma_inverse(_code_to_word(validate_tree_code(code)))
 
 
-def _sigma_inverse(code):
+def _sigma_inverse(word):
     parent, children = [None], [()]
-    for k, (X, i) in enumerate(code, start=1):
-        _insert(parent, children, k, X, i)
+    for k, a in enumerate(word, start=1):
+        _insert(parent, children, k, a)
         apply_F_tables(parent, children)
     return Tree(children)
 
 
-def _odd_pairs(code, letter):
-    """One pair (i, j) per index i of odd (letter, i) multiplicity, j the
-    last (1-based) position carrying i: with "L" the (violator, partner)
-    pairs of sigma_inverse(code), with "T" the uplines of tau(code)."""
-    odd = [i for i, c in Counter(i for X, i in code if X == letter).items() if c % 2]
-    last = {i: pos for pos, (_, i) in enumerate(code, start=1)}
+def _odd_pairs(word):
+    """One pair (i, j) per even letter 2i of odd multiplicity, j the last
+    (1-based) position whose letter a has a // 2 = i: the (violator,
+    partner) pairs of _sigma_inverse(word) and the uplines of _tau(word)."""
+    odd = [a // 2 for a, c in Counter(a for a in word if a % 2 == 0).items() if c % 2]
+    last = {a // 2: pos for pos, a in enumerate(word, start=1)}
     return {(i, last[i]) for i in odd}
 
 
@@ -128,28 +129,30 @@ def _odd_pairs(code, letter):
 def tau(code) -> Matching:
     """Build a matching where each enlargement consults current uplines,
     read off one growing partner list by _tau_target."""
-    return _tau(validate_match_code(code))
+    return _tau(_matchcode_to_word(validate_match_code(code)))
 
 
-def _tau(code):
+def _tau(word):
     partner = [0]
-    for k, (Y, i) in enumerate(code, start=1):
-        _enlarge(partner, _tau_target(partner, Y, i, k))
+    for k, a in enumerate(word, start=1):
+        _enlarge(partner, _tau_target(partner, a, k))
     return Matching(tuple(partner))
 
 
-def _tau_target(partner, Y, i, k):
-    """The dot number step k enlarges with.  (B,k) is the new pair.  If
-    bottom i starts an upline (partner[2i] odd and > 2i), (T,i) takes its
-    top partner[2i] and (B,i) bottom i itself.  Otherwise (T,i) takes
-    bottom i and (B,i) the first top of the upline chain into top i,
-    walked back while partner[2i-1] is even and < 2i-1."""
-    if i == k:
+def _tau_target(partner, a, k):
+    """The dot number step k enlarges with.  Letter 1 is the new pair;
+    otherwise i = a // 2.  If bottom i starts an upline (partner[2i] odd
+    and > 2i), even a takes its top partner[2i] and odd a bottom i
+    itself.  Otherwise even a takes bottom i and odd a the first top of
+    the upline chain into top i, walked back while partner[2i-1] is even
+    and < 2i-1."""
+    if a == 1:
         return 2 * k
+    i = a // 2
     x = partner[2 * i]
     if x % 2 and x > 2 * i:
-        return x if Y == "T" else 2 * i
-    if Y == "T":
+        return x if a % 2 == 0 else 2 * i
+    if a % 2 == 0:
         return 2 * i
     while partner[2 * i - 1] % 2 == 0 and partner[2 * i - 1] < 2 * i - 1:
         i = partner[2 * i - 1] // 2
@@ -157,30 +160,26 @@ def _tau_target(partner, Y, i, k):
 
 
 def tau_inverse(m: Matching):
-    partner, code = list(m.partner), []
-    while len(partner) > 1:
-        code.append(_tau_entry(partner))
+    return _word_to_matchcode(_tau_inverse(m))
+
+
+def _tau_inverse(m):
+    """Prune n, n-1, ..., 1, reading each letter before its prune off the
+    four-case table on the rows and positions of the partners of the two
+    last dots, with the shift map S applied in the not-yet-pruned diagram."""
+    partner, word = list(m.partner), []
+    for k in range(m.n, 0, -1):
+        u, w = partner[2 * k - 1], partner[2 * k]
+        i, j = (u + 1) // 2, (w + 1) // 2
+        if u == 2 * k:
+            word.append(1)
+        elif u % 2:
+            word.append(2 * _shift(partner, i) + 1 if w % 2 or i <= j else 2 * j)
+        else:
+            word.append(2 * i if w % 2 == 0 or i >= j else 2 * i + 1)
         _prune(partner)
-    code.reverse()
-    return tuple(code)
-
-
-def _tau_entry(partner):
-    """One pruning record: the four-case table on the rows and positions
-    of the partners of the two last dots, with the shift map S applied
-    in the not-yet-pruned diagram."""
-    k = len(partner) // 2
-    u, w = partner[2 * k - 1], partner[2 * k]
-    if u == 2 * k:
-        return ("B", k)
-    i, j = (u + 1) // 2, (w + 1) // 2
-    if u % 2:
-        if w % 2 or i <= j:
-            return ("B", _shift(partner, i))
-        return ("T", j)
-    if w % 2 == 0 or i >= j:
-        return ("T", i)
-    return ("B", i)
+    word.reverse()
+    return tuple(word)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +244,12 @@ def _Phi_recursive(t, n):
 
 def Phi_explicit(t: Tree) -> Matching:
     """The same map as Phi_recursive, as a composition: code t with
-    sigma, swap letters, then realize the matching code with tau."""
+    sigma, then realize the same word as a matching with tau."""
     return _Phi_explicit(t, check_increasing_tree(t))
 
 
 def _Phi_explicit(t, n):
-    return _tau(_swap_letters(_sigma(t, n)))
+    return _tau(_sigma(t, n))
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +261,15 @@ def tau_variant(code) -> Matching:
     downline hangs from it, and otherwise the partner of top dot i.  A
     weak downline hangs from top i iff partner[2i-1] is even and greater
     than 2i-1, so each step reads one entry of the growing list."""
-    return _tau_variant(validate_match_code(code))
+    return _tau_variant(_matchcode_to_word(validate_match_code(code)))
 
 
-def _tau_variant(code):
+def _tau_variant(word):
     partner = [0]
-    for k, (Y, i) in enumerate(code, start=1):
-        if Y == "T" or i == k:
-            _enlarge(partner, _tau_target(partner, Y, i, k))
+    for k, a in enumerate(word, start=1):
+        if a % 2 == 0 or a == 1:
+            _enlarge(partner, _tau_target(partner, a, k))
             continue
-        x = partner[2 * i - 1]
-        _enlarge(partner, 2 * i - 1 if x % 2 == 0 and x > 2 * i - 1 else x)
+        x = partner[a - 2]  # top dot a // 2
+        _enlarge(partner, a - 2 if x % 2 == 0 and x > a - 2 else x)
     return Matching(tuple(partner))

@@ -6,11 +6,12 @@ order `klazar verify --check all` runs them.  The library is called
 through module attributes, so a rebound module function reaches the
 checks too.  The objects come from the enumerators and are valid by
 construction: no check validates them, each calls the _-prefixed
-kernels and reads its counts off the child or partner tables.  The
-partner-table count readers, matching_core._parity_pairs and
-_verticals, live beside the line readers they count.  The one
-exception is check_class_split: it calls the public recurrence_class
-and class-2/3 maps, and those validate each diagram again.
+kernels and reads its counts off the child or partner tables.  The code
+checks hand each word of codes.enumerate_words to the kernels.  The
+partner-table count readers, matching_core._parity_pairs and _verticals,
+live beside the line readers they count.  The one exception is
+check_class_split: it calls the public recurrence_class and class-2/3
+maps, and those validate each diagram again.
 """
 
 from __future__ import annotations
@@ -229,24 +230,25 @@ def check_sigma(max_n):
     notes = ["NOTE: every build sequence starts with (R,0); a sometimes-quoted "
              "variant starting (R,1) violates the step-1 rule"]
     for n in range(max_n + 1):
-        for c in codes.enumerate_tree_codes(n):
-            t = bijections._sigma_inverse(c)
-            if bijections._sigma(t, n) != c:
-                return False, {"n": n, "code": [list(e) for e in c]}, notes
-            if bijections._odd_pairs(c, "L") != tree_core.violator_partners(t).items():
-                return False, {"n": n, "code": [list(e) for e in c],
+        for w in codes.enumerate_words(n):
+            t = bijections._sigma_inverse(w)
+            if bijections._sigma(t, n) != w:
+                return False, {"n": n, "code": list(map(list, codes._word_to_code(w)))}, notes
+            if bijections._odd_pairs(w) != tree_core.violator_partners(t).items():
+                return False, {"n": n, "code": list(map(list, codes._word_to_code(w))),
                                "tree": tree_core.tree_to_json(t)}, notes
     return True, None, notes
 
 
 def check_tau(max_n):
     for n in range(max_n + 1):
-        for c in codes.enumerate_match_codes(n):
-            m = bijections._tau(c)
-            if bijections.tau_inverse(m) != c:
-                return False, {"n": n, "code": [list(e) for e in c]}, []
-            if bijections._odd_pairs(c, "T") != matching_core.uplines(m):
-                return False, {"n": n, "code": [list(e) for e in c], "matching": m.to_json()}, []
+        for w in codes.enumerate_words(n):
+            m = bijections._tau(w)
+            if bijections._tau_inverse(m) != w:
+                return False, {"n": n, "code": list(map(list, codes._word_to_matchcode(w)))}, []
+            if bijections._odd_pairs(w) != matching_core.uplines(m):
+                return False, {"n": n, "code": list(map(list, codes._word_to_matchcode(w))),
+                               "matching": m.to_json()}, []
     return True, None, []
 
 
@@ -284,8 +286,8 @@ def check_cor13(max_n):
 def check_joint_dist(max_n):
     for n in range(max_n + 1):
         images = set()
-        for c in codes.enumerate_match_codes(n):
-            images.add(bijections._tau_variant(c))
+        for w in codes.enumerate_words(n):
+            images.add(bijections._tau_variant(w))
         if len(images) != counting.odd_double_factorial(2 * n - 1):
             return False, {"n": n, "images": len(images)}, []
         word_stats = Counter(map(codes._word_parity_stats, codes.enumerate_words(n)))
@@ -334,15 +336,13 @@ def check_code_roundtrips(max_n):
         trees = tree_core.enumerate_increasing_trees(n)
         matchings = matching_core.enumerate_matchings(n)
         for w, t, m in zip(codes.enumerate_words(n), trees, matchings):
-            tc = codes._word_to_code(w)
-            mc = codes._swap_letters(tc)
             ok = (
-                codes._code_to_tree(tc) == t
-                and codes._tree_to_code(t, n) == tc
-                and codes._code_to_matching(mc) == m
-                and codes.matching_to_code(m) == mc
-                and codes._swap_back(mc) == tc
-                and codes._code_to_word(tc) == w
+                codes._word_to_tree(w) == t
+                and codes._tree_to_word(t, n) == w
+                and codes._word_to_matching(w) == m
+                and codes._matching_to_word(m) == w
+                and codes._code_to_word(codes._word_to_code(w)) == w
+                and codes._matchcode_to_word(codes._word_to_matchcode(w)) == w
             )
             if not ok:
                 return False, {"n": n, "word": list(w)}, []

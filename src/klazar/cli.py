@@ -240,7 +240,7 @@ STATS = {
         "kv": lambda t: len(tree_core.klazar_violators(t)),
         "bad": lambda t: len(tree_core.bad_vertices(t)),
         "reverse-bad": lambda t: len(tree_core.reverse_bad_vertices(t)),
-        "leaves": lambda t: tree_core.tree_stats(t).leaves,
+        "leaves": lambda t: t.kids.count(()),  # the root-only tree has one leaf
     },
     "matchings": {
         "uplines": lambda m: matching_core._parity_pairs(m.partner)[0],
@@ -249,9 +249,9 @@ STATS = {
         "joint-upline-downline-vertical": _edge_class_sizes,
     },
     "words": {
-        "even-odd-multiplicity": lambda w: codes.word_parity_stats(w)[0],
-        "odd-odd-multiplicity": lambda w: codes.word_parity_stats(w)[1],
-        "parity-joint": lambda w: codes.word_parity_stats(w),
+        "even-odd-multiplicity": lambda w: codes._word_parity_stats(w)[0],
+        "odd-odd-multiplicity": lambda w: codes._word_parity_stats(w)[1],
+        "parity-joint": lambda w: codes._word_parity_stats(w),
     },
 }
 

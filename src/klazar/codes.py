@@ -1,17 +1,17 @@
-"""Insertion codes for trees and diagrams, and trapezoidal words.
+"""Trapezoidal words, and the insertion codes that spell them in letters.
 
-Three equivalent languages with (2k-1) choices at step k:
+A trapezoidal word a_1..a_n has 1 <= a_k <= 2k-1.  It is the one code
+the kernels take and return: on trees odd a_k = 2i+1 inserts k as the
+rightmost child of i and even a_k = 2i as the left neighbour of i
+(tree_core._insert); on matchings a_k enlarges with dot a_k - 1, except
+that a_k = 1 is the new pair (_word_to_matching).
 
-* build-tree code: entry (R, i) inserts k as the rightmost child of i,
-  entry (L, i) inserts k as the immediate left neighbour of i;
-* build-matching code: entry (B, i) enlarges using bottom dot i (the
-  new pair when i = k), entry (T, i) enlarges using top dot i;
-* trapezoidal word: integers a_k with 1 <= a_k <= 2k-1.
-
-The letter swap R<->B, L<->T (with (R, 0) at step k traded for (B, k))
-links the first two; a_k = 2i for L and 2i+1 for R links words to tree
-codes.  Validation is separate and explicit so malformed input fails at
-the boundary, not inside a bijection.
+The letters live only here, at the public boundary: a build-tree code
+spells 2i+1 as (R, i) and 2i as (L, i), a build-matching code spells 1
+at step k as (B, k), 2i+1 >= 3 as (B, i) and 2i as (T, i).  So the
+paper's swap R<->B, L<->T, with (R, 0) at step k traded for (B, k), is
+the identity on words.  Validation is separate and explicit so malformed
+input fails at the boundary, not inside a bijection.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .tree_core import Tree, _insert, _remove_largest, check_increasing_tree, ta
 def _validate_code(code, first, second, lo, kind):
     """(first, lo) opens the code; at step k, first takes lo..lo+k-1 and
     second takes 1..k-1.  Returns the code as a tuple."""
-    code = tuple((str(X), i) for X, i in code)
+    code = tuple(code)
     for k, (X, i) in enumerate(code, start=1):
         if type(i) is not int:  # int() would read True as 1 and 1.9 as 1
             raise ValueError(f"index {i!r} at step {k} is not an integer")
@@ -59,88 +59,91 @@ def validate_word(word):
 
 
 # ---------------------------------------------------------------------------
-# codes <-> objects
+# words <-> objects
 
 
 def code_to_tree(code) -> Tree:
-    return _code_to_tree(validate_tree_code(code))
+    return _word_to_tree(_code_to_word(validate_tree_code(code)))
 
 
-def _code_to_tree(code):
+def _word_to_tree(word):
     parent, children = [None], [()]
-    for k, (X, i) in enumerate(code, start=1):
-        _insert(parent, children, k, X, i)
+    for k, a in enumerate(word, start=1):
+        _insert(parent, children, k, a)
     return Tree(children)
 
 
 def tree_to_code(t: Tree):
     """Read off the insertion history by deleting n, n-1, ... in turn."""
-    return _tree_to_code(t, check_increasing_tree(t))
+    return _word_to_code(_tree_to_word(t, check_increasing_tree(t)))
 
 
-def _tree_to_code(t, n):
+def _tree_to_word(t, n):
     parent, children = tables_of(t)
     return tuple(reversed([_remove_largest(parent, children, k) for k in range(n, 0, -1)]))
 
 
 def code_to_matching(code) -> Matching:
-    return _code_to_matching(validate_match_code(code))
+    return _word_to_matching(_matchcode_to_word(validate_match_code(code)))
 
 
-def _code_to_matching(code):
+def _word_to_matching(word):
     partner = [0]
-    for Y, i in code:
-        _enlarge(partner, 2 * i if Y == "B" else 2 * i - 1)
+    for k, a in enumerate(word, start=1):
+        _enlarge(partner, a - 1 if a > 1 else 2 * k)
     return Matching(tuple(partner))
 
 
 def matching_to_code(m: Matching):
-    partner, code = list(m.partner), []
+    return _word_to_matchcode(_matching_to_word(m))
+
+
+def _matching_to_word(m):
+    """Prune n, n-1, ...: dot x reads letter x + 1, the new pair (x = 2k) 1."""
+    partner, word = list(m.partner), []
     while len(partner) > 1:
         x = _prune(partner)
-        code.append(("T", (x + 1) // 2) if x % 2 else ("B", x // 2))
-    code.reverse()
-    return tuple(code)
+        word.append(x + 1 if x < len(partner) else 1)
+    word.reverse()
+    return tuple(word)
 
 
 # ---------------------------------------------------------------------------
-# code <-> code and code <-> word
+# letter codes <-> words (the converters do not validate)
+
+
+def _code_to_word(code):
+    return tuple([2 * i if X == "L" else 2 * i + 1 for X, i in code])
+
+
+def _word_to_code(word):
+    return tuple([("L" if a % 2 == 0 else "R", a // 2) for a in word])
+
+
+def _matchcode_to_word(code):
+    return tuple([2 * i if Y == "T" else 1 if i == k else 2 * i + 1
+                  for k, (Y, i) in enumerate(code, start=1)])
+
+
+def _word_to_matchcode(word):
+    return tuple([("T", a // 2) if a % 2 == 0 else ("B", k if a == 1 else a // 2)
+                  for k, a in enumerate(word, start=1)])
 
 
 def treecode_to_matchcode(code):
-    return _swap_letters(validate_tree_code(code))
-
-
-def _swap_letters(code):
-    # R<->B and L<->T, with (R, 0) at step k traded for (B, k); no validation
-    return tuple(("B", k if i == 0 else i) if X == "R" else ("T", i)
-                 for k, (X, i) in enumerate(code, start=1))
+    return _word_to_matchcode(_code_to_word(validate_tree_code(code)))
 
 
 def matchcode_to_treecode(code):
-    return _swap_back(validate_match_code(code))
-
-
-def _swap_back(code):  # the inverse of _swap_letters; no validation
-    return tuple(("R", 0 if i == k else i) if Y == "B" else ("L", i)
-                 for k, (Y, i) in enumerate(code, start=1))
+    return _word_to_code(_matchcode_to_word(validate_match_code(code)))
 
 
 def code_to_trapezoidal(code):
     return _code_to_word(validate_tree_code(code))
 
 
-def _code_to_word(code):  # the inverse of _word_to_code; no validation
-    return tuple(2 * i if X == "L" else 2 * i + 1 for X, i in code)
-
-
 def trapezoidal_to_code(word):
     return _word_to_code(validate_word(word))
-
-
-def _word_to_code(word):
-    # a_k = 2i reads (L, i) and a_k = 2i+1 reads (R, i); no validation
-    return tuple(("L", a // 2) if a % 2 == 0 else ("R", a // 2) for a in word)
 
 
 def word_parity_stats(word):
@@ -171,13 +174,11 @@ def enumerate_words(n: int):
 
 def enumerate_tree_codes(n: int):
     # words are legal by construction, so skip the validating conversions
-    for w in enumerate_words(n):
-        yield _word_to_code(w)
+    yield from map(_word_to_code, enumerate_words(n))
 
 
 def enumerate_match_codes(n: int):
-    for w in enumerate_words(n):
-        yield _swap_letters(_word_to_code(w))
+    yield from map(_word_to_matchcode, enumerate_words(n))
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def check_marked_tree(mt: MarkedTree) -> int:
     if _klazar_violators(kids):
         raise ValueError("marked tree must be violator-free")
     for u in mt.marked:
-        if not (isinstance(u, int) and 0 <= u <= n):
+        if not (type(u) is int and 0 <= u <= n):
             raise ValueError(f"marked label {u} not in tree")
         if u == 0 or not kids[u]:
             raise ValueError(f"marked vertex {u} is not a node")
@@ -226,7 +226,7 @@ def tables_of(t: Tree):
 
 
 def _require_vertex(children, v):
-    if not (isinstance(v, int) and 0 <= v < len(children)):
+    if not (type(v) is int and 0 <= v < len(children)):
         raise ValueError(f"no vertex labelled {v}")
     if v == 0:
         raise ValueError("the root has no siblings")
@@ -236,12 +236,13 @@ def _require_vertex(children, v):
 # They rebind the sibling tuples they change.
 
 
-def _insert(parent, children, k, X, i):
-    """Insert leaf k = len(children) by build-code entry (X, i); return
+def _insert(parent, children, k, a):
+    """Insert leaf k = len(children) by word letter a: rightmost child of
+    a // 2 if a is odd, else immediate left neighbour of a // 2; return
     (p, sibs) so that children[p] = sibs and popping both undoes it."""
-    p = i if X == "R" else parent[i]
+    p = a // 2 if a % 2 else parent[a // 2]
     sibs = children[p]
-    pos = len(sibs) if X == "R" else sibs.index(i)
+    pos = len(sibs) if a % 2 else sibs.index(a // 2)
     children[p] = sibs[:pos] + (k,) + sibs[pos:]
     parent.append(p)
     children.append(())
@@ -249,13 +250,13 @@ def _insert(parent, children, k, X, i):
 
 
 def _remove_largest(parent, children, k):
-    """Delete leaf k; return the build-code entry that reinserts it."""
+    """Delete leaf k; return the word letter that reinserts it."""
     p = parent.pop(k)
     del children[k]
     sibs = children[p]
     pos = sibs.index(k)
     children[p] = sibs[:pos] + sibs[pos + 1:]
-    return ("L", sibs[pos + 1]) if pos + 1 < len(sibs) else ("R", p)
+    return 2 * sibs[pos + 1] if pos + 1 < len(sibs) else 2 * p + 1
 
 
 def _big_cohort_start(sibs, pos):
@@ -303,10 +304,9 @@ def enumerate_increasing_trees(n: int):
     """Yield every n-edge increasing ordered tree exactly once.
 
     The order is ascending lexicographic order of the corresponding
-    trapezoidal word: at step k the letter a_k in [1, 2k-1] means
-    "insert k as rightmost child of (a_k-1)/2" when odd and "insert k
-    as immediate left neighbour of a_k/2" when even.  This keeps trees,
-    matchings, codes and words aligned position by position.
+    trapezoidal word: at step k the letter a_k in [1, 2k-1] inserts k
+    by _insert.  This keeps trees, matchings, codes and words aligned
+    position by position.
     """
     if n < 0:
         raise ValueError("edge count must be nonnegative")
@@ -318,7 +318,7 @@ def enumerate_increasing_trees(n: int):
     a, k = 1, 1
     while True:
         if a < 2 * k:
-            p, sibs = _insert(parent, children, k, "R" if a % 2 else "L", a // 2)
+            p, sibs = _insert(parent, children, k, a)
             if k < n:
                 stack.append((a, p, sibs))
                 a, k = 1, k + 1

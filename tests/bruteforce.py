@@ -334,6 +334,29 @@ def bf_marked_klazar(n):
                 yield t, frozenset(marks)
 
 
+def bf_swap(code):
+    """The paper's letter swap between build-tree and build-matching
+    codes, either way: R<->B and L<->T, with (R, 0) at step k traded for
+    (B, k)."""
+    out = []
+    for k, (x, i) in enumerate(code, start=1):
+        if x == "R":
+            out.append(("B", k if i == 0 else i))
+        elif x == "B":
+            out.append(("R", 0 if i == k else i))
+        else:
+            out.append(({"L": "T", "T": "L"}[x], i))
+    return tuple(out)
+
+
+def bf_odd_pairs(code, letter):
+    """(i, j) for each index i that an odd number of (letter, i) entries
+    carry, j the last (1-based) position whose entry carries index i."""
+    counts = Counter(i for x, i in code if x == letter)
+    last = {i: pos for pos, (_, i) in enumerate(code, start=1)}
+    return {(i, last[i]) for i, c in counts.items() if c % 2}
+
+
 def bf_word_parity(word):
     counts = Counter(word)
     evens = sum(1 for v, c in counts.items() if v % 2 == 0 and c % 2 == 1)

@@ -126,6 +126,13 @@ def test_phi_rejects_invalid_marks():
         phi(MarkedTree(tree_from_text("0(2,1)"), frozenset()))
 
 
+def test_phi_rejects_true_as_a_mark():
+    t = tree_from_text("0(1(2))")
+    assert phi(MarkedTree(t, frozenset({1}))) == tree_from_text("0(2,1)")
+    with pytest.raises(ValueError):
+        phi(MarkedTree(t, frozenset({True})))
+
+
 # ---------------------------------------------------------------------------
 # sigma: trees onto build codes
 
@@ -156,7 +163,19 @@ def test_violator_reading_of_codes():
     for n in range(5):
         for c in enumerate_tree_codes(n):
             t = sigma_inverse(c)
-            assert bijections._odd_pairs(c, "L") == set(violator_partners(t).items())
+            assert bijections._odd_pairs(codes._code_to_word(c)) == set(violator_partners(t).items())
+
+
+def test_odd_pairs_of_a_word_agree_with_both_letter_codes():
+    # the new pair is letter 1 (index 0) where (B,k) carried k; the pairs
+    # agree because a (T,i) entry comes only after step i
+    rng = random.Random(200)
+    small = (w for n in range(7) for w in enumerate_words(n))
+    seeded = (tuple(rng.randint(1, 2 * k - 1) for k in range(1, 201)) for _ in range(20))
+    for w in chain(small, seeded):
+        want = bijections._odd_pairs(w)
+        assert bf.bf_odd_pairs(codes._word_to_code(w), "L") == want
+        assert bf.bf_odd_pairs(codes._word_to_matchcode(w), "T") == want
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +207,7 @@ def test_tau_roundtrip_random(w):
 def test_upline_reading_of_codes():
     for n in range(5):
         for c in enumerate_match_codes(n):
-            assert bijections._odd_pairs(c, "T") == set(uplines(tau(c)))
+            assert bijections._odd_pairs(codes._matchcode_to_word(c)) == set(uplines(tau(c)))
 
 
 def test_tau_and_tau_variant_agree_with_the_oracle():
@@ -209,7 +228,7 @@ def test_matching_maps_at_n500():
         c = random_match_code(rng, 500)
         m = tau(c)
         assert tau_inverse(m) == c
-        assert set(uplines(m)) == bijections._odd_pairs(c, "T")
+        assert set(uplines(m)) == bijections._odd_pairs(codes._matchcode_to_word(c))
         code_stats, matching_stats = parity_statistics(c, tau_variant(c))
         assert code_stats == matching_stats
         assert matching_to_code(code_to_matching(c)) == c
@@ -260,7 +279,7 @@ def test_round_trips_on_large_random_trees():
         assert sigma_inverse(sigma(t)) == t
         assert phi(phi_inverse(t)) == t
         assert Phi_recursive(t) == Phi_explicit(t)
-        assert bijections._odd_pairs(sigma(t), "L") == set(violator_partners(t).items())
+        assert bijections._odd_pairs(codes._code_to_word(sigma(t))) == set(violator_partners(t).items())
 
 
 def test_maps_that_validate_only_their_input_return_valid_objects():

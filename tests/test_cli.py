@@ -6,11 +6,14 @@ import json
 import os
 import re
 import sys
+from collections import Counter
+from itertools import product
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bruteforce as bf
 from klazar import checks, cli
 from klazar.codes import (
     code_to_matching,
@@ -423,6 +426,37 @@ def test_stats_three_statistics_agree(monkeypatch, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
+
+
+# kind -> (the brute-force objects at size n, stat -> its oracle)
+STAT_ORACLES = {
+    "trees": (bf.bf_trees, {
+        "kv": lambda t: len(bf.bf_violators(t)),
+        "bad": lambda t: len(bf.bf_bad(t)),
+        "reverse-bad": lambda t: len(bf.bf_reverse_bad(t)),
+        "leaves": bf.bf_leaves,
+    }),
+    "matchings": (bf.bf_matchings, {
+        "uplines": lambda p: len(bf.bf_uplines(p)),
+        "verticals": lambda p: len(bf.bf_classify(p)[1]),
+        "odd-to-even": lambda p: len(bf.bf_weak_downlines(p)),
+        "joint-upline-downline-vertical": lambda p: tuple(len(bf.bf_classify(p)[c]) for c in (0, 2, 1)),
+    }),
+    "words": (lambda n: product(*(range(1, 2 * k) for k in range(1, n + 1))), {
+        "even-odd-multiplicity": lambda w: bf.bf_word_parity(w)[0],
+        "odd-odd-multiplicity": lambda w: bf.bf_word_parity(w)[1],
+        "parity-joint": bf.bf_word_parity,
+    }),
+}
+
+
+def test_every_statistic_agrees_with_its_oracle_tally():
+    assert {k: set(v) for k, v in cli.STATS.items()} == {k: set(v[1]) for k, v in STAT_ORACLES.items()}
+    for kind, (objects, oracles) in STAT_ORACLES.items():
+        for stat, oracle in oracles.items():
+            for n in range(6):
+                got = Counter(map(cli.STATS[kind][stat], cli.ENUM_KINDS[kind](n)))
+                assert got == Counter(map(oracle, objects(n))), (kind, stat, n)
 
 
 def test_stats_unknown_stat(monkeypatch, capsys):

@@ -1,3 +1,6 @@
+import random
+from itertools import chain
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -117,6 +120,17 @@ def test_word_code_roundtrip(w):
     assert code_to_trapezoidal(c) == w
     mc = treecode_to_matchcode(c)
     assert matchcode_to_treecode(mc) == c
+
+
+def test_word_spellings_follow_the_papers_letter_swap():
+    # every word up to n = 6, then 20 seeded words at n = 200
+    rng = random.Random(200)
+    small = (w for n in range(7) for w in enumerate_words(n))
+    seeded = (tuple(rng.randint(1, 2 * k - 1) for k in range(1, 201)) for _ in range(20))
+    for w in chain(small, seeded):
+        tc, mc = codes._word_to_code(w), codes._word_to_matchcode(w)
+        assert bf.bf_swap(tc) == mc and bf.bf_swap(mc) == tc
+        assert codes._code_to_word(tc) == w == codes._matchcode_to_word(mc)
 
 
 @given(words())

@@ -24,6 +24,8 @@ KEPT_FOR_THE_TESTS = {
     "decompose_no_upline": "Theorem 8's decomposition; its check runs _decompose",
     "compose_no_upline": "Theorem 8's composition; its check runs _compose",
     "shape_of": "the shape of a tree, over which the w12 weights are summed",
+    "tree_stats": "every vertex statistic at once; stats reads its counts off the child table",
+    "word_parity_stats": "Corollary 13's word statistic; stats and the checks run _word_parity_stats",
 }
 
 
@@ -58,6 +60,15 @@ def test_every_exported_function_is_named_outside_its_def():
               if callable(getattr(klazar, name)) and not inspect.isclass(getattr(klazar, name))
               and not refs.counts[name]}
     assert unused == set(KEPT_FOR_THE_TESTS)
+
+
+def test_code_letters_appear_only_in_codes_and_cli():
+    # every kernel reads and writes trapezoidal words; the letters of the
+    # build codes are spelled out only at the public boundary
+    letters = {path.name for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Constant) and node.value in ("R", "L", "B", "T")}
+    assert letters <= {"codes.py", "cli.py"}
 
 
 def test_reprs_evaluate_in_the_package_namespace_to_equal_objects():

@@ -1,0 +1,108 @@
+"""Pin the command-line outputs that must not change: the enumeration
+streams and every map on every small input, each by one sha256 over its
+stdout, stderr and exit code."""
+
+import contextlib
+import hashlib
+import io
+import sys
+from itertools import combinations
+from unittest import mock
+
+from klazar import cli
+from klazar.codes import code_to_text, enumerate_match_codes, enumerate_tree_codes, enumerate_words, word_to_text
+from klazar.matching_core import enumerate_matchings, matching_to_text
+from klazar.tree_core import enumerate_increasing_trees, klazar_violators, tree_to_text
+
+ENUMERATE_SHA256 = {
+    "klazar-trees": "484a16519ed82c8db36a3b93784e516e9f9677af72f66647b5a74b47fc689418",
+    "match-codes": "b485586015aeafbea8d78b1a5acdf4373908f1dad5af217b2ccf40e1c1180060",
+    "matchings": "d29092a961b6323ee46fab9c2a65983d126ffc790a3333d9cc3c021e162c0697",
+    "no-upline-matchings": "5b2058f3e5ce4b377128b742700f62deb443e16be9680d3772b27e5c7408b6ef",
+    "shapes": "f98619a407c991630dc5d4fbf243d1690825b1a2aa5ee1b71474f25a0fe4f7c8",
+    "tree-codes": "9d406da4afc9e6e4a1c71ab39fa54961f11d7bb1c4062d059ded250e5874f61f",
+    "trees": "f3a7ebd0d2eb24009668d56180e2fc60e89390565c0965d64e1936997fe2117a",
+    "words": "d4b2388db5786d08e12bcf7b35468b482f53d624322d89e75f6422fee422cc93",
+}
+
+MAP_SHA256 = {
+    "Phi": "43c34dbdcddabeb27f1da6256bcc5f020d97a0ca80867d9c924cd9f0cd449ea6",
+    "Phi-explicit": "4f0ac5c0283b981623b572cf99315b27aff6c14be2da0313608f47e6b4f032d7",
+    "phi-inv": "8107a179349d3e37dae883e187a293b68262a66340ca4491c5e0e0fde76bfd6a",
+    "sigma": "ec4b04e804b515ef284a059205212bb9d353f315b8fafba0338b61f71855007c",
+    "tree-code": "bba881057f56022b7f3077ce87dd7196e6be2843f7c71bbc16fb4c5903cb1b4a",
+    "phi": "88447b2bbe991dd96b72a72b34cbf1960c743b92426082a841784ce3006f8479",
+    "match-code": "060efc0568bacfb44c33d1d0753f217c267ecd4b82ac6e01868b1228159399fe",
+    "tau-inv": "03ff473b6801761d79c5a14f28a336c7135a0a11d2cf9cd97d064fefba22c054",
+    "code-tree": "67407c53945c0fb47c03c870fb6de5cf59f55c2020bff037e8f7b89679c39fed",
+    "sigma-inv": "0465bfffa3406ee8cc5e3ed12d02c9e35b8c2bc63dacd132ad7f1a4b8656ebf1",
+    "code-match": "7e433a402fdeacb7743174ef87c97ad7e01815bd6ccd5db85a008ce8f4e102a7",
+    "tau": "1843dabed6b5c21ee0f00d3a988712623eea43622941976acae41c4d9a9dcf24",
+    "tau-variant": "9f935b64a709178436d79517052379a90a66e244f7e089f2cd686f220ec7e694",
+    "code-corr": "1117f221baa15cd082d2a1f6aed10248397bee5950377f6a5b693f92ee10f005",
+    "trapezoidal": "09ec8f13df6cc3f38940a6ca69cfb80bf2aa96cbedc372616b0690e81c7a41fa",
+}
+
+
+def _sha256_of_calls(calls):
+    """One digest over (argv, stdin, stdout, stderr, exit code) of each call."""
+    digest = hashlib.sha256()
+    for argv, stdin in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        digest.update(repr((argv, stdin, out.getvalue(), err.getvalue(), code)).encode())
+    return digest.hexdigest()
+
+
+def _inputs():
+    """The text form of every input a map selector reads, n <= 4."""
+    ns = range(5)
+    trees = [t for n in ns for t in enumerate_increasing_trees(n)]
+    marked = []
+    for t in trees:
+        if not klazar_violators(t):
+            interior = [v for v in range(1, len(t.kids)) if t.kids[v]]
+            marked += [tree_to_text(t) + "|" * bool(r) + ",".join(map(str, ms))
+                       for r in range(len(interior) + 1) for ms in combinations(interior, r)]
+    tree_codes = [code_to_text(c) for n in ns for c in enumerate_tree_codes(n)]
+    match_codes = [code_to_text(c) for n in ns for c in enumerate_match_codes(n)]
+    return {
+        "trees": list(map(tree_to_text, trees)),
+        "marked": marked,
+        "matchings": [matching_to_text(m) for n in ns for m in enumerate_matchings(n)],
+        "tree-codes": tree_codes,
+        "match-codes": match_codes,
+        "codes": tree_codes + match_codes,
+        "words-and-codes": [word_to_text(w) for n in ns for w in enumerate_words(n)] + tree_codes,
+    }
+
+
+# map selector -> the inputs it reads, by the parser cli.MAPS gives it
+MAP_INPUTS = {
+    "Phi": "trees", "Phi-explicit": "trees", "phi-inv": "trees", "sigma": "trees",
+    "tree-code": "trees", "phi": "marked", "match-code": "matchings", "tau-inv": "matchings",
+    "code-tree": "tree-codes", "sigma-inv": "tree-codes", "code-match": "match-codes",
+    "tau": "match-codes", "tau-variant": "match-codes", "code-corr": "codes",
+    "trapezoidal": "words-and-codes",
+}
+
+
+def test_every_map_selector_reads_a_pinned_input_family():
+    assert set(MAP_INPUTS) == set(cli.MAPS) == set(MAP_SHA256)
+
+
+def test_enumerate_jsonl_streams_are_pinned():
+    got = {kind: _sha256_of_calls(
+        (["enumerate", "--kind", kind, "--n", str(n), "--format", "jsonl"], "") for n in range(7))
+        for kind in sorted(cli.ENUM_KINDS)}
+    assert got == ENUMERATE_SHA256
+
+
+def test_map_text_outputs_are_pinned():
+    inputs = _inputs()
+    got = {which: _sha256_of_calls(
+        (["map", "--which", which, "--format", "text"], text) for text in inputs[family])
+        for which, family in MAP_INPUTS.items()}
+    assert got == MAP_SHA256

@@ -367,6 +367,20 @@ def test_marked_tree_validation():
         check_marked_tree(MarkedTree(violating, frozenset()))
 
 
+def test_true_is_not_a_vertex_label():
+    # bool subclasses int and True == 1, so a label is checked by its type;
+    # each call below succeeds with 1 in place of True
+    for f, text in ((cohort, "0(1(2))"), (big_cohort, "0(2,1)"), (associate, "0(2,1)"),
+                    (H_map, "0(1(2))"), (pi_leaf_map, "0(2,1)"), (pi_inverse, "0(2,1(3))")):
+        t = tree_from_text(text)
+        f(t, 1)
+        with pytest.raises(ValueError):
+            f(t, True)
+    t = tree_from_text("0(1(2))")
+    with pytest.raises(ValueError):
+        check_marked_tree(MarkedTree(t, frozenset({True})))
+
+
 def test_marked_universe_size_is_double_factorial():
     for n in range(5):
         got = sum(1 for _ in bf.bf_marked_klazar(n))
