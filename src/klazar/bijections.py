@@ -190,13 +190,13 @@ def Phi_recursive(t: Tree) -> Matching:
     """The paper's recursive Phi: remove n, n-1, ..., 1 from one table,
     read one dot per level, then enlarge from level 1 up.
 
-    At level k the dot depends on where k sits.  If k is the last child
-    of p: (BOT, k) for p the root, (BOT, p) for a violator p, and
-    (TOP, H(p)) for a complier p, with H taken after k is removed.
-    Otherwise let j be k's right neighbour: (BOT, j) for a violator j
-    whose associate is k; (BOT, j) after applying F for any other
-    violator j; and for a complier j, F turns j into a violator and the
-    dot is (TOP, partner of j), read after k is removed.
+    At level k the dot number depends on where k sits.  If k is the last
+    child of p: 2k (the new pair) for p the root, 2p for a violator p,
+    and 2H(p) - 1 for a complier p, with H taken after k is removed.
+    Otherwise let j be k's right neighbour: 2j for a violator j whose
+    associate is k; 2j after applying F for any other violator j; and
+    for a complier j, F turns j into a violator and the dot is 2q - 1
+    for q the partner of j, read after k is removed.
 
     The tables are validated once and edited in place, with no Tree
     built in between, and the dot numbers grow one partner list.  The

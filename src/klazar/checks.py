@@ -9,9 +9,7 @@ construction: no check validates them, each calls the _-prefixed
 kernels and reads its counts off the child or partner tables.  The code
 checks hand each word of codes.enumerate_words to the kernels.  The
 partner-table count readers, matching_core._parity_pairs and _verticals,
-live beside the line readers they count.  The one exception is
-check_class_split: it calls the public recurrence_class and class-2/3
-maps, and those validate each diagram again.
+live beside the line readers they count.
 """
 
 from __future__ import annotations
@@ -178,23 +176,30 @@ def check_theorem8(max_n):
 
 
 def check_class_split(max_n):
+    """The class sizes are eq4_terms, and each class-2/3 reduction lands in
+    its target set and expands back: with equal counts, a bijection."""
     for n in range(1, max_n + 1):
         by_class = {1: [], 2: [], 3: []}
-        for m in matching_core.enumerate_matchings(n):
-            if not matching_core._parity_pairs(m.partner)[0]:
-                by_class[matching_core.recurrence_class(m)].append(m)
+        for p in (m.partner for m in matching_core.enumerate_matchings(n)):
+            if not matching_core._parity_pairs(p)[0]:
+                by_class[matching_core._recurrence_class(p)].append(p)
         t1, t2, t3 = counting.eq4_terms(n)
         sizes = (len(by_class[1]), len(by_class[2]), len(by_class[3]))
         if sizes != (t1, t2, t3):
             return False, {"n": n, "sizes": list(sizes), "terms": [t1, t2, t3]}, []
-        for m in by_class[2]:
-            small, i = matching_core.class2_reduce(m)
-            if matching_core.class2_expand(small, i) != m:
-                return False, {"n": n, "matching": m.to_json(), "class": 2}, []
-        for m in by_class[3]:
-            small, X = matching_core.class3_reduce(m)
-            if matching_core.class3_expand(small, X) != m:
-                return False, {"n": n, "matching": m.to_json(), "class": 3}, []
+        for p in by_class[2]:  # onto (upline-free diagram of size n - 1, i in [1, n - 1])
+            small = list(p)
+            i = matching_core._class2_reduce(small)
+            ok = len(small) == 2 * n - 1 and 1 <= i < n and not matching_core._parity_pairs(small)[0]
+            matching_core._class2_expand(small, i)
+            if not ok or tuple(small) != p:
+                return False, {"n": n, "matching": matching_core.Matching(p).to_json(), "class": 2}, []
+        for p in by_class[3]:  # onto (upline-free diagram of size n - |X|, X in [1, n - 1], |X| >= 2)
+            small, X = matching_core._class3_reduce(p)
+            ok = (len(X) >= 2 and X <= set(range(1, n)) and len(small) == 2 * (n - len(X)) + 1
+                  and not matching_core._parity_pairs(small)[0])
+            if not ok or matching_core._class3_expand(small, sorted(X)) != p:
+                return False, {"n": n, "matching": matching_core.Matching(p).to_json(), "class": 3}, []
     return True, None, []
 
 

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .tree_core import _bad, enumerate_increasing_trees
+from . import tree_core
 
 
 def odd_double_factorial(m: int) -> int:
@@ -209,5 +209,5 @@ def bad_vertex_distribution(n: int) -> dict:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    counts = Counter(1 + len(_bad(t.kids, False)) for t in enumerate_increasing_trees(n))
+    counts = Counter(1 + len(tree_core._bad(t.kids, False)) for t in tree_core.enumerate_increasing_trees(n))
     return dict(sorted(counts.items()))

@@ -8,8 +8,9 @@ parity matches are arcs.  This module holds the diagram type, edge
 classification, the enlarge/prune elevator between sizes, the shift map
 S, the product decomposition of no-upline diagrams into arc matchings
 plus a Stirling and a power part, and the three-class split behind the
-size recurrence.  The elevator is one in-place kernel on a partner list
-(_enlarge, _prune) that enumeration, the codes and tau all walk, and
+size recurrence.  A dot is named only by its number x in [2n].  The
+elevator is one in-place kernel on a partner list (_enlarge, _prune)
+that enumeration, the codes, tau and the class-2 maps all walk, and
 the codings read each upline question off one entry of it: bottom b
 starts an upline iff partner[2b] is odd and > 2b; an upline ends at top
 i iff partner[2i-1] is even and < 2i-1; a weak downline hangs from top
@@ -17,38 +18,14 @@ i iff partner[2i-1] is even and > 2i-1.  Every reader of a diagram's
 lines lives here: uplines, weak_downlines and classify_edges return the
 lines; the count readers _parity_pairs and _verticals serve the checks,
 the CLI and this module wherever only a count or an emptiness test is read.
+Each public map validates its input once and calls a _-prefixed kernel
+on the partner table; the checks call the kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
-
-TOP = "top"
-BOT = "bot"
-
-
-@dataclass(frozen=True)
-class DotRef:
-    """One dot of a diagram: row 'top' or 'bot', 1-based position."""
-
-    row: str
-    pos: int
-
-    def __post_init__(self):
-        if self.row not in (TOP, BOT):
-            raise ValueError(f"bad DotRef row {self.row!r}")
-        if type(self.pos) is not int:  # a bool would read as 0 or 1
-            raise ValueError(f"bad DotRef position {self.pos!r}")
-
-    def number(self) -> int:
-        return 2 * self.pos - 1 if self.row == TOP else 2 * self.pos
-
-    @staticmethod
-    def of_number(x: int) -> "DotRef":
-        if x % 2:
-            return DotRef(TOP, (x + 1) // 2)
-        return DotRef(BOT, x // 2)
 
 
 class Matching:
@@ -207,27 +184,27 @@ def _verticals(p):  # read off a partner table: odd x matched to x + 1
 # enlarge / prune
 
 
-def enlarge(m: Matching, d: DotRef) -> Matching:
-    """Grow a size n-1 diagram to size n using dot d.
+def enlarge(m: Matching, x: int) -> Matching:
+    """Grow a size n-1 diagram to size n using dot number x.
 
-    d = (BOT, n) is the 'new pair' move: the two new dots 2n-1 and 2n
-    are joined to each other.  Otherwise the new top dot 2n-1 joins d,
-    and d's former partner joins the new bottom dot 2n.  Over the 2n-1
-    legal dots this is a bijection onto size-n diagrams.
+    x = 2n is the 'new pair' move: the two new dots 2n-1 and 2n are
+    joined to each other.  Otherwise the new top dot 2n-1 joins x, and
+    x's former partner joins the new bottom dot 2n.  Over the 2n-1 legal
+    dots 1..2n-2 and 2n this is a bijection onto size-n diagrams.
     """
-    x, b = d.number(), len(m.partner) + 1
-    if x != b and not 1 <= x <= b - 2:
-        raise ValueError(f"dot {d} is not in the size-{b // 2 - 1} diagram")
+    b = len(m.partner) + 1
+    if type(x) is not int or x != b and not 1 <= x <= b - 2:  # a bool would read as 0 or 1
+        raise ValueError(f"dot {x!r} is not in the size-{b // 2 - 1} diagram")
     partner = list(m.partner)
     _enlarge(partner, x)
     return Matching(tuple(partner))
 
 
 def prune_matching(m: Matching):
-    """Inverse of enlarge: returns (smaller diagram, the DotRef used)."""
+    """Inverse of enlarge: returns (smaller diagram, the dot number used)."""
     partner = list(m.partner)
     x = _prune(partner)
-    return Matching(tuple(partner)), DotRef.of_number(x)
+    return Matching(tuple(partner)), x
 
 
 def _enlarge(partner, x):
@@ -570,16 +547,16 @@ def recurrence_class(m: Matching) -> int:
     """
     if _parity_pairs(m.partner)[0]:
         raise ValueError("recurrence classes are for no-upline diagrams")
-    n = m.n
-    if n < 1:
+    if m.n < 1:
         raise ValueError("empty diagram has no class")
-    p_bot = m.partner[2 * n]
-    if p_bot == 2 * n - 1:
+    return _recurrence_class(m.partner)
+
+
+def _recurrence_class(p):
+    b = len(p) - 1  # the last dot, 2n
+    if p[b] == b - 1:
         return 1
-    p_top = m.partner[2 * n - 1]
-    if p_bot % 2 == 1 or p_top < p_bot:
-        return 2
-    return 3
+    return 2 if p[b] % 2 or p[b - 1] < p[b] else 3
 
 
 def class2_reduce(m: Matching):
@@ -591,19 +568,30 @@ def class2_reduce(m: Matching):
     """
     if recurrence_class(m) != 2:
         raise ValueError("not a class-2 diagram")
-    x = m.partner[2 * m.n - 1]
-    assert x % 2 == 1, "partner of the last top dot is odd in class 2"
-    smaller, _ = prune_matching(m)
-    return smaller, (x + 1) // 2
+    partner = list(m.partner)
+    i = _class2_reduce(partner)
+    return Matching(tuple(partner)), i
+
+
+def _class2_reduce(partner):
+    """class2_reduce in place on a partner list: prune, then read the
+    top position of the dot that pruning used."""
+    return (_prune(partner) + 1) // 2
 
 
 def class2_expand(m: Matching, i: int) -> Matching:
-    """Inverse of class2_reduce: enlarge using top dot i."""
-    if not 1 <= i <= m.n:
+    """Inverse of class2_reduce: enlarge a no-upline diagram using top dot i."""
+    if type(i) is not int or not 1 <= i <= m.n:
         raise ValueError(f"top position {i} out of range")
-    out = enlarge(m, DotRef(TOP, i))
-    assert recurrence_class(out) == 2
-    return out
+    if _parity_pairs(m.partner)[0]:
+        raise ValueError("diagram has an upline")
+    partner = list(m.partner)
+    _class2_expand(partner, i)
+    return Matching(tuple(partner))
+
+
+def _class2_expand(partner, i):  # class2_expand in place on a partner list
+    _enlarge(partner, 2 * i - 1)
 
 
 def class3_reduce(m: Matching):
@@ -617,18 +605,18 @@ def class3_reduce(m: Matching):
     """
     if recurrence_class(m) != 3:
         raise ValueError("not a class-3 diagram")
-    n = m.n
-    p_top = m.partner[2 * n - 1]
-    p_bot = m.partner[2 * n]
-    assert p_top % 2 == 1 and p_bot % 2 == 0
-    i = (p_top + 1) // 2
-    j = p_bot // 2
-    assert i > j
-    mids = [v for v in range(j + 1, i) if m.partner[2 * v - 1] == 2 * v]
+    p, X = _class3_reduce(m.partner)
+    return Matching(p), X
+
+
+def _class3_reduce(p):
+    """class3_reduce on a partner table: (smaller partner table, X)."""
+    n = len(p) // 2
+    i, j = (p[2 * n - 1] + 1) // 2, p[2 * n] // 2
+    mids = [v for v in range(j + 1, i) if p[2 * v - 1] == 2 * v]
     old = _class3_dots(n, j, i, mids)
     new = {x: y for y, x in enumerate(old)}
-    out = Matching(tuple(new[m.partner[x]] for x in old))
-    return out, frozenset({j, i, *mids})
+    return tuple(new[p[x]] for x in old), frozenset({j, i, *mids})
 
 
 def class3_expand(m: Matching, X) -> Matching:
@@ -636,25 +624,29 @@ def class3_expand(m: Matching, X) -> Matching:
     X = sorted(X)
     if len(X) < 2:
         raise ValueError("X needs at least the two partner positions")
-    k = len(X) - 2
-    n = m.n + 2 + k
+    n = m.n + len(X)
     if X[-1] > n - 1 or X[0] < 1:
         raise ValueError(f"X out of range for target size {n}")
-    j, i, mids = X[0], X[-1], X[1:-1]
     if len(set(X)) != len(X):
         raise ValueError(f"X repeats a position: {X}")
+    if _parity_pairs(m.partner)[0]:
+        raise ValueError("diagram has an upline")
+    return Matching(_class3_expand(m.partner, X))
 
+
+def _class3_expand(p, X):
+    """class3_expand on a partner table and X in ascending order."""
+    n = len(p) // 2 + len(X)
+    j, i, mids = X[0], X[-1], X[1:-1]
     partner = [0] * (2 * n + 1)
     old = _class3_dots(n, j, i, mids)
     for y, x in enumerate(old):
-        partner[x] = old[m.partner[y]]
+        partner[x] = old[p[y]]
     partner[2 * i - 1], partner[2 * n - 1] = 2 * n - 1, 2 * i - 1
     partner[2 * j], partner[2 * n] = 2 * n, 2 * j
     for v in mids:
         partner[2 * v - 1], partner[2 * v] = 2 * v, 2 * v - 1
-    out = Matching(tuple(partner))
-    assert recurrence_class(out) == 3
-    return out
+    return tuple(partner)
 
 
 def _class3_dots(n, j, i, mids):

@@ -184,10 +184,13 @@ def check_increasing_tree(t: Tree) -> int:
     One pass: every label 1..n is the child of exactly one smaller label."""
     kids = t.kids
     n = len(kids) - 1
+    labels = set(chain.from_iterable(kids))
+    for c in labels:
+        if type(c) is not int:  # True would read as 1, and 1.0 cannot index a table
+            raise ValueError(f"label {c!r} is not an integer")
     for v, ks in enumerate(kids):
         if ks and min(ks) <= v:
             raise ValueError(f"child {min(ks)} does not exceed parent {v}")
-    labels = set(chain.from_iterable(kids))
     if len(labels) != n or sum(map(len, kids)) != n or max(labels, default=0) > n:
         raise ValueError(f"labels are not exactly 0..{n}")
     return n

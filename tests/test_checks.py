@@ -5,7 +5,7 @@ import random
 from itertools import chain
 
 import bruteforce as bf
-from klazar import bijections, codes, matching_core, tree_core
+from klazar import bijections, checks, codes, matching_core, tree_core
 from klazar.codes import enumerate_words
 from klazar.matching_core import enumerate_matchings, uplines
 from klazar.tree_core import bad_vertices, enumerate_increasing_trees, tree_to_json
@@ -59,3 +59,43 @@ def test_compose_kernel_inverts_the_decompose_kernel():
     large_parts = [matching_core._decompose(m) for m in large]
     assert all(even.n and stirling.edges for even, _, stirling, _ in large_parts)
     assert any(power.edges for *_, power in large_parts)
+
+
+def test_class_split_runs_on_kernels_only(monkeypatch):
+    for name in ("recurrence_class", "class2_reduce", "class2_expand", "class3_reduce",
+                 "class3_expand", "enlarge", "prune_matching"):
+        monkeypatch.setattr(matching_core, name, None)  # a call to any of them raises
+    assert checks.check_class_split(6) == (True, None, [])
+
+
+# Planted faults: each one changes a few outputs at a size the checks
+# reach, and the check that guards the route fails with a counterexample.
+
+
+def test_a_relabelled_class3_reduction_fails_class_split(monkeypatch):
+    dots = matching_core._class3_dots
+
+    def swapped(n, j, i, mids):  # each kept (top, bottom) pair swapped, in reduce and expand alike
+        old = dots(n, j, i, mids)
+        return [0, *(x for pair in zip(old[2::2], old[1::2]) for x in pair)]
+
+    monkeypatch.setattr(matching_core, "_class3_dots", swapped)
+    passed, counterexample, _ = checks.check_class_split(6)
+    assert not passed and counterexample["class"] == 3
+    # the round trip alone cannot see it: the images leave the upline-free diagrams
+    p = matching_core.Matching.from_json(counterexample["matching"]).partner
+    small, X = matching_core._class3_reduce(p)
+    assert matching_core._class3_expand(small, sorted(X)) == p
+    assert matching_core._parity_pairs(small)[0]
+
+
+def test_a_dropped_bad_vertex_fails_theorem2(monkeypatch):
+    bad = tree_core._bad
+
+    def drop_one(children, reverse):  # the one tree with 4 edges and 3 bad vertices loses one
+        out = bad(children, reverse)
+        return out[1:] if len(children) == 5 and len(out) == 3 else out
+
+    monkeypatch.setattr(tree_core, "_bad", drop_one)
+    passed, counterexample, _ = checks.check_theorem2(6)
+    assert not passed and counterexample["n"] == 4

@@ -26,6 +26,12 @@ KEPT_FOR_THE_TESTS = {
     "shape_of": "the shape of a tree, over which the w12 weights are summed",
     "tree_stats": "every vertex statistic at once; stats reads its counts off the child table",
     "word_parity_stats": "Corollary 13's word statistic; stats and the checks run _word_parity_stats",
+    "enlarge": "the elevator's growing step; enumeration, the codes, tau and Phi run _enlarge",
+    "prune_matching": "the elevator's pruning step, enlarge's inverse; the same routes run _prune",
+    "class2_reduce": "the class-2 map of the size recurrence; the class-split check runs _class2_reduce",
+    "class2_expand": "the inverse class-2 map; the class-split check runs _class2_expand",
+    "class3_reduce": "the class-3 map of the size recurrence; the class-split check runs _class3_reduce",
+    "class3_expand": "the inverse class-3 map; the class-split check runs _class3_expand",
 }
 
 

@@ -9,7 +9,6 @@ import bruteforce as bf
 from klazar import matching_core
 from klazar.matching_core import (
     EMPTY_MATCHING,
-    DotRef,
     Matching,
     PowerMatching,
     StirlingMatching,
@@ -53,25 +52,12 @@ def match_codes(draw, max_n=7):
 def matching_from_code(code):
     m = EMPTY_MATCHING
     for row, i in code:
-        m = enlarge(m, DotRef("bot" if row == "B" else "top", i))
+        m = enlarge(m, 2 * i if row == "B" else 2 * i - 1)
     return m
 
 
 # ---------------------------------------------------------------------------
 # representation
-
-
-def test_dotref_numbering():
-    assert DotRef("top", 3).number() == 5
-    assert DotRef("bot", 3).number() == 6
-    for x in range(1, 11):
-        assert DotRef.of_number(x).number() == x
-
-
-@pytest.mark.parametrize("row", ["mid", "TOP", "", None, 1])
-def test_dotref_rejects_a_row_other_than_top_or_bot(row):
-    with pytest.raises(ValueError):
-        DotRef(row, 1)
 
 
 def test_text_roundtrip():
@@ -204,45 +190,42 @@ def test_enlarge_prune_inverse():
 def test_enlarge_all_dots_reaches_everything():
     built = set()
     for m in enumerate_matchings(2):
-        for i in range(1, 4):
-            for row in ("top", "bot"):
-                if row == "top" and i == 3:
-                    continue
-                built.add(enlarge(m, DotRef(row, i)))
+        for x in (1, 2, 3, 4, 6):
+            built.add(enlarge(m, x))
     assert built == set(enumerate_matchings(3))
 
 
 def test_enlarge_new_pair_case():
-    m = enlarge(EMPTY_MATCHING, DotRef("bot", 1))
+    m = enlarge(EMPTY_MATCHING, 2)
     assert m.pairs() == ((1, 2),)
     # the fresh bottom dot names the new-pair case
-    assert enlarge(m, DotRef("bot", 2)).pairs() == ((1, 2), (3, 4))
+    assert enlarge(m, 4).pairs() == ((1, 2), (3, 4))
     # joining an occupied dot reroutes its old partner to the new bottom
-    assert enlarge(m, DotRef("bot", 1)).pairs() == ((1, 4), (2, 3))
-    assert enlarge(m, DotRef("top", 1)).pairs() == ((1, 3), (2, 4))
+    assert enlarge(m, 2).pairs() == ((1, 4), (2, 3))
+    assert enlarge(m, 1).pairs() == ((1, 3), (2, 4))
 
 
 def test_enlarge_rejects_out_of_range():
     with pytest.raises(ValueError):
-        enlarge(EMPTY_MATCHING, DotRef("top", 1))
+        enlarge(EMPTY_MATCHING, 1)
     with pytest.raises(ValueError):
-        enlarge(EMPTY_MATCHING, DotRef("bot", 2))
-    # a position that is not an int: True must not read as 1, nor 1.5 reach
+        enlarge(EMPTY_MATCHING, 4)
+    # a dot or position that is not an int: True must not read as 1, nor 1.5 reach
     # the partner table as an index
     m = matching_from_text("1 2/3 4")
     with pytest.raises(ValueError):
-        enlarge(EMPTY_MATCHING, DotRef("bot", True))
+        enlarge(EMPTY_MATCHING, True)
     with pytest.raises(ValueError):
-        enlarge(m, DotRef("top", 1.5))
+        enlarge(m, 1.5)
     with pytest.raises(ValueError):
         class2_expand(m, True)
     with pytest.raises(ValueError):
         shift_S(m, True)
     # size 2: the legal dots are 1..4 and the new pair 6; 5 is the new top dot
-    for row, pos in (("top", 0), ("bot", 0), ("top", 3), ("top", 4), ("bot", 4)):
+    for x in (True, 1.5, -1, 0, 5, 7, 8):
         with pytest.raises(ValueError) as err:
-            enlarge(m, DotRef(row, pos))
-        assert str(err.value) == f"dot DotRef(row='{row}', pos={pos}) is not in the size-2 diagram"
+            enlarge(m, x)
+        assert str(err.value) == f"dot {x} is not in the size-2 diagram"
     for i in (0, 3):
         with pytest.raises(ValueError, match=f"^top position {i} out of range$"):
             class2_expand(m, i)
@@ -253,7 +236,7 @@ def test_enlarge_then_prune_roundtrip_random(code):
     m = matching_from_code(code)
     for row, i in reversed(code):
         m, d = prune_matching(m)
-        assert d == DotRef("bot" if row == "B" else "top", i)
+        assert d == (2 * i if row == "B" else 2 * i - 1)
     assert m == EMPTY_MATCHING
 
 
@@ -395,6 +378,32 @@ def test_recurrence_classes_partition():
             elif c == 3:
                 small, X = class3_reduce(m)
                 assert class3_expand(small, X) == m
+
+
+def test_class_maps_validate_their_input_once():
+    upline = matching_from_text("1 4/2 3")
+    with pytest.raises(ValueError, match="^recurrence classes are for no-upline diagrams$"):
+        recurrence_class(upline)
+    with pytest.raises(ValueError, match="^empty diagram has no class$"):
+        recurrence_class(EMPTY_MATCHING)
+    small, class2, class3 = map(matching_from_text, ("1 2", "1 3/2 4", "1 4/2 6/3 5"))
+    assert (recurrence_class(class2), recurrence_class(class3)) == (2, 3)
+    assert class2_reduce(class2) == (small, 1) and class3_reduce(class3) == (small, {1, 2})
+    with pytest.raises(ValueError, match="^not a class-2 diagram$"):
+        class2_reduce(class3)
+    with pytest.raises(ValueError, match="^not a class-3 diagram$"):
+        class3_reduce(class2)
+    with pytest.raises(ValueError, match="^diagram has an upline$"):
+        class2_expand(upline, 1)
+    with pytest.raises(ValueError, match="^X needs at least the two partner positions$"):
+        class3_expand(small, {1})
+    for X in ({1, 3}, {0, 2}):
+        with pytest.raises(ValueError, match="^X out of range for target size 3$"):
+            class3_expand(small, X)
+    with pytest.raises(ValueError, match=r"^X repeats a position: \[1, 1\]$"):
+        class3_expand(small, [1, 1])
+    with pytest.raises(ValueError, match="^diagram has an upline$"):
+        class3_expand(upline, {1, 2})
 
 
 def test_class3_reduce_agrees_with_the_oracle():

@@ -81,6 +81,10 @@ def test_validation_catches_bad_labelings():
     decreasing = Tree(((2,), (), (1,)))
     with pytest.raises(ValueError):
         check_increasing_tree(decreasing)
+    # True reads as 1 and 1.0 compares equal to it, but neither can be a label
+    for label in (True, 1.0):
+        with pytest.raises(ValueError, match="is not an integer"):
+            check_increasing_tree(Tree(((label,), ())))
 
 
 @given(words())
