@@ -34,13 +34,9 @@ class UsageError(Exception):
 
 def _guard(n: int, bound: int, force: bool, what: str = "n"):
     if n < 0:
-        _fail(f"--{what} must be nonnegative")
+        raise UsageError(f"--{what} must be nonnegative")
     if n > bound and not force:
-        _fail(f"{what}={n} exceeds the default guard {bound}; pass --force to override")
-
-
-def _fail(msg: str):
-    raise UsageError(msg)
+        raise UsageError(f"{what}={n} exceeds the default guard {bound}; pass --force to override")
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +50,18 @@ def _load_json(text: str):
         raise ValueError("JSON nested too deeply to read; use the text form") from None
 
 
-def _parse_tree(text: str) -> Tree:
-    text = text.strip()
-    if text.startswith("{"):
-        return tree_core.tree_from_json(_load_json(text))
-    return tree_core.tree_from_text(text)
+def _reader(opener: str, from_json, from_text):
+    """The reader of one object kind: JSON when the text opens with
+    `opener`, else the text form."""
+    def parse(text: str):
+        text = text.strip()
+        return from_json(_load_json(text)) if text.startswith(opener) else from_text(text)
+    return parse
+
+
+_parse_tree = _reader("{", tree_core.tree_from_json, tree_core.tree_from_text)
+_parse_matching = _reader("{", Matching.from_json, matching_core.matching_from_text)
+_parse_code = _reader("[", codes.code_from_json, codes.code_from_text)
 
 
 def _parse_marked_tree(text: str) -> MarkedTree:
@@ -73,20 +76,6 @@ def _parse_marked_tree(text: str) -> MarkedTree:
     tree_part, _, mark_part = text.partition("|")
     marks = frozenset(int(x) for x in mark_part.split(",") if x.strip())
     return MarkedTree(tree_core.tree_from_text(tree_part), marks)
-
-
-def _parse_matching(text: str) -> Matching:
-    text = text.strip()
-    if text.startswith("{"):
-        return matching_core.Matching.from_json(_load_json(text))
-    return matching_core.matching_from_text(text)
-
-
-def _parse_code(text: str):
-    text = text.strip()
-    if text.startswith("["):
-        return codes.code_from_json(_load_json(text))
-    return codes.code_from_text(text)
 
 
 def _parse_word_or_code(text: str):
@@ -130,12 +119,12 @@ def _emit(obj, fmt: str):
         print(_tree_json_text(obj.tree, obj.marked) if fmt == "json" else _marked_tree_text(obj))
     elif isinstance(obj, Matching):
         print(json.dumps(obj.to_json()) if fmt == "json" else matching_core.matching_to_text(obj))
-    elif isinstance(obj, tuple) and obj and isinstance(obj[0], tuple) and len(obj[0]) == 2 and isinstance(obj[0][0], str):
-        print(json.dumps([[x, i] for x, i in obj]) if fmt == "json" else codes.code_to_text(obj))
-    elif isinstance(obj, tuple):
-        print(json.dumps(list(obj)) if fmt == "json" else codes.word_to_text(obj))
+    elif fmt == "json":
+        print(json.dumps(obj))  # a code or a word: tuples are written as arrays
+    elif obj and isinstance(obj[0], tuple):
+        print(codes.code_to_text(obj))
     else:
-        print(json.dumps(obj))
+        print(codes.word_to_text(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +157,12 @@ def cmd_enumerate(args) -> int:
     count = 0
     for obj in ENUM_KINDS[args.kind](args.n):
         count += 1
-        if args.kind == "shapes":
-            print(json.dumps(_shape_json(obj)) if fmt == "json" else _shape_text(obj))
+        if args.kind == "shapes" and fmt == "text":
+            print(_shape_text(obj))
         else:
             _emit(obj, fmt)
     print(json.dumps({"count": count}) if fmt == "json" else f"count {count}")
     return 0
-
-
-def _shape_json(s):
-    return [_shape_json(c) for c in s]
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +171,7 @@ def _shape_json(s):
 
 def _code_corr(code):
     if not code:
-        _fail("empty code")
+        raise UsageError("empty code")
     if code[0][0] in "RL":
         return codes.treecode_to_matchcode(code)
     return codes.matchcode_to_treecode(code)
@@ -260,14 +245,14 @@ def cmd_stats(args) -> int:
     _guard(args.n, ENUM_GUARD, args.force)
     fn = STATS[args.kind].get(args.stat)
     if fn is None:
-        _fail(f"statistic {args.stat!r} is not defined for kind {args.kind!r}")
+        raise UsageError(f"statistic {args.stat!r} is not defined for kind {args.kind!r}")
     dist = Counter(fn(obj) for obj in ENUM_KINDS[args.kind](args.n))
     total = sum(dist.values())
     items = sorted(dist.items())
     if args.format == "json":
         print(json.dumps({
             "kind": args.kind, "stat": args.stat, "n": args.n,
-            "distribution": [[list(k) if isinstance(k, tuple) else k, v] for k, v in items],
+            "distribution": items,
             "total": total,
         }))
     else:
@@ -303,7 +288,7 @@ def cmd_verify(args) -> int:
     names = list(CHECKS) if args.check == "all" else [args.check]
     for name in names:
         if name not in CHECKS:
-            _fail(f"unknown check {name!r}; available: {', '.join(CHECKS)}, all")
+            raise UsageError(f"unknown check {name!r}; available: {', '.join(CHECKS)}, all")
     if args.max_n is not None:
         _guard(args.max_n, VERIFY_GUARD, args.force, what="max-n")
     sizes = [args.max_n if args.max_n is not None else CHECKS[name][1] for name in names]
@@ -352,47 +337,52 @@ def _print_reports(names, sizes, results, fmt) -> int:
 # table and series
 
 
+def _a_nl(n):
+    gf = series.gf_Fstarstar(n)
+    rows = [[int(gf.coefficient(m).get((l,), 0)) for l in range(1, m + 1)] for m in range(1, n + 1)]
+    return rows, rows
+
+
+def _a_nij(n):
+    table = counting.refined_tree_counts(n)
+    return table.to_json(), [(*idx, c) for idx, c in sorted(table.entries.items())]
+
+
+def _no_upline(n):
+    rows = [[counting.no_upline_count(m), *(counting.no_upline_refined(m, k) for k in range(m // 2 + 1))]
+            for m in range(n + 1)]
+    return rows, rows
+
+
+def _one_row(fn):
+    def build(n):
+        row = fn(n)
+        return row, [row]
+    return build
+
+
+# name -> (least n, builder); a builder returns the JSON value and the text
+# rows, in the order the --which choices are listed
+TABLES = {
+    "a-nl": (1, _a_nl),
+    "a-nij": (0, _a_nij),
+    "w12": (0, _one_row(counting.w12_sequence)),
+    "no-upline": (0, _no_upline),
+    "eq4-terms": (1, _one_row(counting.eq4_terms)),
+}
+
+
 def cmd_table(args) -> int:
-    n = args.n
-    _guard(n, FORMULA_GUARD, args.force)
-    if args.which == "w12":
-        row = counting.w12_sequence(n)
-        print(json.dumps(row) if args.format == "json" else " ".join(map(str, row)))
-    elif args.which == "a-nl":
-        if n < 1:
-            _fail("a-nl starts at n=1")
-        gf = series.gf_Fstarstar(n)
-        rows = []
-        for m in range(1, n + 1):
-            coeff = gf.coefficient(m)
-            rows.append([int(coeff.get((l,), 0)) for l in range(1, m + 1)])
-        if args.format == "json":
-            print(json.dumps(rows))
-        else:
-            for row in rows:
-                print(" ".join(map(str, row)))
-    elif args.which == "a-nij":
-        table = counting.refined_tree_counts(n)
-        if args.format == "json":
-            print(json.dumps(table.to_json()))
-        else:
-            for idx in sorted(table.entries):
-                print(" ".join(map(str, (*idx, table.entries[idx]))))
-    elif args.which == "no-upline":
-        rows = []
-        for m in range(n + 1):
-            rows.append([counting.no_upline_count(m)]
-                        + [counting.no_upline_refined(m, k) for k in range(m // 2 + 1)])
-        if args.format == "json":
-            print(json.dumps(rows))
-        else:
-            for row in rows:
-                print(" ".join(map(str, row)))
-    elif args.which == "eq4-terms":
-        if n < 1:
-            _fail("eq4-terms starts at n=1")
-        t1, t2, t3 = counting.eq4_terms(n)
-        print(json.dumps([t1, t2, t3]) if args.format == "json" else f"{t1} {t2} {t3}")
+    _guard(args.n, FORMULA_GUARD, args.force)
+    least, build = TABLES[args.which]
+    if args.n < least:
+        raise UsageError(f"{args.which} starts at n={least}")
+    value, rows = build(args.n)
+    if args.format == "json":
+        print(json.dumps(value))
+    else:
+        for row in rows:
+            print(" ".join(map(str, row)))
     return 0
 
 
@@ -409,7 +399,7 @@ SERIES_BUILDERS = {
 
 def cmd_series(args) -> int:
     if args.which not in SERIES_BUILDERS:
-        _fail(f"unknown series {args.which!r}; available: {', '.join(SERIES_BUILDERS)}")
+        raise UsageError(f"unknown series {args.which!r}; available: {', '.join(SERIES_BUILDERS)}")
     _guard(args.n, FORMULA_GUARD, args.force)
     f = SERIES_BUILDERS[args.which](args.n)
     if args.format == "json":
@@ -422,8 +412,7 @@ def cmd_series(args) -> int:
                     f"{v}^{k}" if k > 1 else v
                     for v, k in zip(f.markers, e) if k
                 )
-                frac = str(c) if c.denominator != 1 else str(c.numerator)
-                terms.append(f"{frac}{'*' + mono if mono else ''}")
+                terms.append(f"{c}{'*' + mono if mono else ''}")
             print(f"[x^{m}/{m}!] " + (" + ".join(terms) if terms else "0"))
     return 0
 
@@ -578,8 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("table", help="print a counting table")
-    t.add_argument("--which", required=True,
-                   choices=["a-nl", "a-nij", "w12", "no-upline", "eq4-terms"])
+    t.add_argument("--which", required=True, choices=list(TABLES))
     t.add_argument("--n", type=int, required=True)
     t.add_argument("--format", choices=["json", "text"], default="text")
     t.add_argument("--force", action="store_true")

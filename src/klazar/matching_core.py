@@ -621,7 +621,10 @@ def _class3_reduce(p):
 
 def class3_expand(m: Matching, X) -> Matching:
     """Inverse of class3_reduce: re-insert the columns named by X."""
-    X = sorted(X)
+    X = list(X)
+    if any(type(x) is not int for x in X):
+        raise ValueError("X must hold integers only")
+    X.sort()
     if len(X) < 2:
         raise ValueError("X needs at least the two partner positions")
     n = m.n + len(X)

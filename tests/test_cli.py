@@ -5,9 +5,11 @@ import io
 import json
 import os
 import re
+import shlex
 import sys
 from collections import Counter
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -696,3 +698,44 @@ def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def _readme_shell_examples():
+    """(command line, expected output lines) of each `$ klazar` example in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```\n(\$ .*?)^```$", readme, re.M | re.S):
+        for example in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            line, *expected = example.splitlines()
+            examples.append((line, expected))
+    return examples
+
+
+README_EXAMPLES = _readme_shell_examples()
+
+
+def test_the_readme_shows_every_subcommand():
+    shown = {shlex.split(line.rpartition("| ")[2])[1] for line, _ in README_EXAMPLES}
+    assert shown == {"enumerate", "map", "stats", "verify", "table", "series", "draw"}
+
+
+def _masked(lines):
+    """Lines without trailing spaces (draw pads its rows), each check's time masked."""
+    return [re.sub(r"\[\d+\.\d+s\]$", "[time]", line.rstrip()) for line in lines]
+
+
+@pytest.mark.parametrize("line, expected", README_EXAMPLES, ids=[line for line, _ in README_EXAMPLES])
+def test_readme_shell_example(line, expected, monkeypatch, capsys):
+    words = shlex.split(line)
+    stdin = None
+    if words[0] == "echo":  # echo "TEXT" | klazar ...
+        stdin, words = words[1] + "\n", words[3:]
+    assert words[0] == "klazar"
+    code, out, err = run(words[1:], stdin=stdin, monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, err) == (0, "")
+    got, expected = _masked(out.splitlines()), _masked(expected)
+    if "..." in expected:  # the example elides the middle of the output
+        cut, kept = expected.index("..."), len(expected) - 1
+        if len(got) > kept:
+            got[cut:len(got) - kept + cut] = ["..."]
+    assert got == expected

@@ -404,6 +404,9 @@ def test_class_maps_validate_their_input_once():
         class3_expand(small, [1, 1])
     with pytest.raises(ValueError, match="^diagram has an upline$"):
         class3_expand(upline, {1, 2})
+    for X in ({True, 2}, {1.5, 2}, {1, "a"}):
+        with pytest.raises(ValueError, match="^X must hold integers only$"):
+            class3_expand(small, X)
 
 
 def test_class3_reduce_agrees_with_the_oracle():

@@ -1,10 +1,11 @@
 """Pin the command-line outputs that must not change: the enumeration
-streams and every map on every small input, each by one sha256 over its
-stdout, stderr and exit code."""
+streams, every map on every small input, and the table, series, stats and
+draw subcommands, each by one sha256 over its stdout, stderr and exit code."""
 
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from itertools import combinations
 from unittest import mock
@@ -12,7 +13,7 @@ from unittest import mock
 from klazar import cli
 from klazar.codes import code_to_text, enumerate_match_codes, enumerate_tree_codes, enumerate_words, word_to_text
 from klazar.matching_core import enumerate_matchings, matching_to_text
-from klazar.tree_core import enumerate_increasing_trees, klazar_violators, tree_to_text
+from klazar.tree_core import enumerate_increasing_trees, klazar_violators, tree_to_json, tree_to_text
 
 ENUMERATE_SHA256 = {
     "klazar-trees": "484a16519ed82c8db36a3b93784e516e9f9677af72f66647b5a74b47fc689418",
@@ -106,3 +107,42 @@ def test_map_text_outputs_are_pinned():
         (["map", "--which", which, "--format", "text"], text) for text in inputs[family])
         for which, family in MAP_INPUTS.items()}
     assert got == MAP_SHA256
+
+
+SUBCOMMAND_SHA256 = {
+    "table": "6b2d34d388c775de1c9e426d3e54e6cd1a93b85085975cfde305dd5bf59b9f99",
+    "series": "556da6a700e80ca9e9147d9845aca8eadc67df8bcd978a8e241739f29d0ac0f1",
+    "stats": "0aaebfaac89a65504469a3bb2842c141e28e9c44da337558ee795cbe97a2f7f1",
+    "draw": "889ff6534703211161779def90153546b694274f2c5a3e7ca1c6a016367eb806",
+}
+
+TABLE_NAMES = ["a-nl", "a-nij", "w12", "no-upline", "eq4-terms"]
+
+
+def _subcommand_calls(command):
+    """Every (argv, stdin) call the pin of one subcommand makes."""
+    formats = ["json", "text"]
+    if command == "table":
+        # n = 0 hits the "starts at n=1" errors; -1 and 31 hit the guard, as
+        # -1 and 31 do for series and -1 and 11 for stats
+        return [(["table", "--which", which, "--n", str(n), "--format", fmt], "")
+                for which in TABLE_NAMES for n in (-1, 0, 1, 2, 8, 30, 31) for fmt in formats]
+    if command == "series":
+        return [(["series", "--which", which, "--n", str(n), "--format", fmt], "")
+                for which in [*cli.SERIES_BUILDERS, "nonesuch"] for n in (*range(-1, 7), 31) for fmt in formats]
+    if command == "stats":
+        return [(["stats", "--kind", kind, "--stat", stat, "--n", str(n), "--format", fmt], "")
+                for kind, stats in cli.STATS.items() for stat in [*stats, "nonesuch"]
+                for n in (*range(-1, 6), 11) for fmt in formats]
+    ns = range(5)
+    trees = [t for n in ns for t in enumerate_increasing_trees(n)]
+    matchings = [m for n in ns for m in enumerate_matchings(n)]
+    texts = ([tree_to_text(t) for t in trees] + [json.dumps(tree_to_json(t)) for t in trees]
+             + [matching_to_text(m) for m in matchings] + [json.dumps(m.to_json()) for m in matchings]
+             + ["", "{}", "0(1", "0(1,1)", "1 2/3", "[1]", '{"pairs": 3}'])
+    return [(["draw", "--format", fmt], text) for text in texts for fmt in ("ascii", "svg")]
+
+
+def test_table_series_stats_and_draw_outputs_are_pinned():
+    got = {command: _sha256_of_calls(_subcommand_calls(command)) for command in SUBCOMMAND_SHA256}
+    assert got == SUBCOMMAND_SHA256
