@@ -26,15 +26,13 @@ from .tree_core import (
     MarkedTree,
     Tree,
     _H,
-    _assoc_at,
     _children_to_cohort,
     _cohort_to_children,
-    _insert,
+    _delete_step,
+    _insert_step,
     _is_violator,
     _klazar_violators,
     _partner,
-    _remove_largest,
-    apply_F_tables,
     check_increasing_tree,
     check_marked_tree,
     tables_of,
@@ -87,29 +85,26 @@ def _phi_inverse(t):
 
 
 def sigma(t: Tree):
-    """Code t by deleting n, n-1, ..., 1, applying F before each record."""
+    """Code t by deleting n, n-1, ..., 1, applying F before each record;
+    tree_core._delete_step does both in one edit."""
     return _word_to_code(_sigma(t, check_increasing_tree(t)))
 
 
 def _sigma(t, n):
     parent, children = tables_of(t)
-    word = []
-    for k in range(n, 0, -1):
-        apply_F_tables(parent, children)
-        word.append(_remove_largest(parent, children, k))
-    return tuple(reversed(word))
+    return tuple(reversed([_delete_step(parent, children, k)[0] for k in range(n, 0, -1)]))
 
 
 def sigma_inverse(code) -> Tree:
-    """Rebuild from a code, applying F after every insertion."""
+    """Rebuild from a code, applying F after every insertion
+    (tree_core._insert_step)."""
     return _sigma_inverse(_code_to_word(validate_tree_code(code)))
 
 
 def _sigma_inverse(word):
     parent, children = [None], [()]
     for k, a in enumerate(word, start=1):
-        _insert(parent, children, k, a)
-        apply_F_tables(parent, children)
+        _insert_step(parent, children, k, a)
     return Tree(children)
 
 
@@ -198,11 +193,11 @@ def Phi_recursive(t: Tree) -> Matching:
     for a complier j, F turns j into a violator and the dot is 2q - 1
     for q the partner of j, read after k is removed.
 
-    The tables are validated once and edited in place, with no Tree
-    built in between, and the dot numbers grow one partner list.  The
-    route uses only F, H, partners and enlarge, never sigma, tau or a
-    code, so its agreement with Phi_explicit is independent evidence
-    that both are right.
+    The tables are validated once and edited in place by sigma's step
+    _delete_step (F, then delete k), and the dot numbers grow one
+    partner list.  The dots come from violators, partners and H, never
+    from tau or a letter, so agreement with Phi_explicit is independent
+    evidence that both are right.
     """
     return _Phi_recursive(t, check_increasing_tree(t))
 
@@ -211,31 +206,16 @@ def _Phi_recursive(t, n):
     parent, children = tables_of(t)
     dots = []
     for k in range(n, 0, -1):
-        p = parent[k]
-        sibs = children[p]
-        pos = sibs.index(k) + 1
-        if pos == len(sibs):
-            complier = p != 0 and not _is_violator(parent, children, p)
-            _remove_largest(parent, children, k)
-            if p == 0:
-                dots.append(2 * k)
-            elif complier:
-                dots.append(2 * _H(parent, children, p) - 1)
-            else:
-                dots.append(2 * p)
-            continue
-        j = sibs[pos]
-        if _is_violator(parent, children, j):
-            if _assoc_at(sibs, pos) != k:
-                apply_F_tables(parent, children)
-            _remove_largest(parent, children, k)
-            dots.append(2 * j)
-            continue
-        apply_F_tables(parent, children)
-        _remove_largest(parent, children, k)
-        if not _is_violator(parent, children, j):
-            raise ValueError(f"{j} is not a Klazar violator")
-        dots.append(2 * _partner(parent, children, j) - 1)
+        a, violator = _delete_step(parent, children, k)
+        i = a // 2
+        if a % 2 == 0:  # i is k's right neighbour j, a violator before F or after it
+            dots.append(2 * i if violator else 2 * _partner(parent, children, i) - 1)
+        elif i == 0:
+            dots.append(2 * k)
+        elif _is_violator(parent, children, i):  # removing k leaves p's status as it was
+            dots.append(2 * i)
+        else:
+            dots.append(2 * _H(parent, children, i) - 1)
     partner = [0]
     for x in reversed(dots):
         _enlarge(partner, x)

@@ -356,32 +356,37 @@ def enumerate_stirling_matchings(n: int, k: int):
     branch is cut as soon as the bottoms left cannot supply the n - k
     edges still missing.  A free top always exists (edges so far use at
     most b - 2 of the b - 1 tops left of b), so every branch not cut
-    ends in a distinct diagram.  Each diagram costs at most n levels of
-    recursion, each scanning fewer than n tops, plus its frozenset.  The
-    order is deterministic: at each bottom, unmatched first, then tops
-    ascending.
+    ends in a distinct diagram.  Each diagram costs at most n steps down
+    an undo stack, each scanning fewer than n tops, plus its frozenset.
+    The order is deterministic: at each bottom, unmatched first, then
+    tops ascending.
     """
     if k < 0 or k > n:
         return
-    edges = []
-    used = [False] * (n + 1)
-
-    def scan(b, need):
-        if need == 0:
-            yield StirlingMatching(n, frozenset(edges))
-            return
-        if need > n - b + 1:
-            return
-        yield from scan(b + 1, need)
-        for a in range(1, b):
-            if not used[a]:
+    edges, used = [], [False] * (n + 1)
+    stack = []  # the choice at each bottom 1..b-1: 0 for unmatched, else its top
+    b, a, need = 1, 0, n - k  # a: the next choice to try at bottom b
+    while True:
+        if need == 0 or need > n - b + 1 or a == b:  # a diagram, a cut branch, or no choice left
+            if need == 0:
+                yield StirlingMatching(n, frozenset(edges))
+            if not stack:
+                return
+            a, b = stack.pop(), b - 1
+            if a:
+                used[a] = False
+                edges.pop()
+                need += 1
+            a += 1
+        elif a and used[a]:
+            a += 1
+        else:
+            stack.append(a)
+            if a:
                 used[a] = True
                 edges.append((a, b))
-                yield from scan(b + 1, need - 1)
-                edges.pop()
-                used[a] = False
-
-    yield from scan(1, n - k)
+                need -= 1
+            b, a = b + 1, 0
 
 
 def enumerate_power_matchings(k: int, n: int):
@@ -390,28 +395,29 @@ def enumerate_power_matchings(k: int, n: int):
     Only legal diagrams are built: bottom b = 1..n takes a free top in
     [1, k + b - 1].  The b - 1 earlier bottoms hold tops inside that
     range, so each step has exactly k choices and nothing is discarded.
-    Each diagram costs n levels of recursion, each scanning fewer than
-    k + n tops, plus its frozenset.  The order is deterministic:
+    Each diagram costs n steps down an undo stack, each scanning fewer
+    than k + n tops, plus its frozenset.  The order is deterministic:
     ascending lexicographic in the tuple of tops of bottoms 1..n.
     """
     if k < 0 or n < 0:
         return
-    tops = []
-    used = [False] * (k + n + 1)
-
-    def place(b):
-        if b > n:
-            yield PowerMatching(k + n, n, frozenset(zip(tops, range(1, n + 1))))
-            return
-        for a in range(1, k + b):
-            if not used[a]:
-                used[a] = True
-                tops.append(a)
-                yield from place(b + 1)
-                tops.pop()
-                used[a] = False
-
-    yield from place(1)
+    tops, used = [], [False] * (k + n + 1)
+    b, a = 1, 1  # a: the next top to try at bottom b
+    while True:
+        if b > n or a == k + b:  # a diagram, or no top left at bottom b
+            if b > n:
+                yield PowerMatching(k + n, n, frozenset(zip(tops, range(1, n + 1))))
+            if not tops:
+                return
+            a, b = tops.pop(), b - 1
+            used[a] = False
+            a += 1
+        elif used[a]:
+            a += 1
+        else:
+            used[a] = True
+            tops.append(a)
+            b, a = b + 1, 1
 
 
 def stirling_to_partition(sm: StirlingMatching) -> tuple:

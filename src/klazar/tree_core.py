@@ -5,7 +5,8 @@ every child labelled higher than its parent, and significant sibling
 order.  There are (2n-1)!! of them.  This module holds the tree type,
 the canonical enumeration, the sibling-based vertex statistics (cohort,
 big cohort, associate, violators, bad vertices), and the tree-side
-auxiliary maps F, H, pi and prune.
+auxiliary maps F, H, pi and prune.  F runs inside sigma's two steps,
+_delete_step (F, then delete) and _insert_step (insert, then F).
 
 A tree is its label-indexed child table, Tree(kids).  The statistics
 read it directly, the maps edit the lists of tables_of(t), and every
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 # Sentinel for "associate of a vertex with empty big cohort".  It must
 # compare above every label and satisfy INFINITY >= INFINITY; a float
@@ -34,7 +34,8 @@ class Tree:
 
     Tree(kids) takes the child table, a sequence of tuples, e.g.
     Tree(((2, 1), (), ())) for 0(2,1).  It validates nothing:
-    check_increasing_tree reports repeated, missing or decreasing labels.
+    check_increasing_tree reports rows that are not tuples and repeated,
+    missing or decreasing labels.
     """
 
     __slots__ = ("kids",)
@@ -181,17 +182,22 @@ def _tree_from_edges(root, edges) -> Tree:
 
 def check_increasing_tree(t: Tree) -> int:
     """Validate labels {0..n} each once, root 0, child > parent; return n.
-    One pass: every label 1..n is the child of exactly one smaller label."""
+    One pass checks each edge; then the n children must be 1..n."""
     kids = t.kids
     n = len(kids) - 1
-    labels = set(chain.from_iterable(kids))
-    for c in labels:
-        if type(c) is not int:  # True would read as 1, and 1.0 cannot index a table
-            raise ValueError(f"label {c!r} is not an integer")
+    seen = [False] * (n + 1)
     for v, ks in enumerate(kids):
-        if ks and min(ks) <= v:
-            raise ValueError(f"child {min(ks)} does not exceed parent {v}")
-    if len(labels) != n or sum(map(len, kids)) != n or max(labels, default=0) > n:
+        if type(ks) is not tuple:  # a list row would make the tree unhashable
+            raise ValueError(f"row {v} of the child table is not a tuple: {ks!r}")
+        for c in ks:
+            if type(c) is not int:  # True would read as 1, and 1.0 cannot index a table
+                raise ValueError(f"label {c!r} is not an integer")
+            if c <= v:
+                raise ValueError(f"child {min(x for x in ks if type(x) is int)} does not exceed parent {v}")
+            if c > n or seen[c]:
+                raise ValueError(f"labels are not exactly 0..{n}")
+            seen[c] = True
+    if sum(map(len, kids)) != n:
         raise ValueError(f"labels are not exactly 0..{n}")
     return n
 
@@ -235,7 +241,7 @@ def _require_vertex(children, v):
         raise ValueError("the root has no siblings")
 
 
-# The tree-editing steps shared by enumeration, codes, sigma, phi and F.
+# The tree-editing steps shared by enumeration, codes, phi and F.
 # They rebind the sibling tuples they change.
 
 
@@ -502,21 +508,66 @@ def pi_inverse(t: Tree, v: int) -> int:
 # the involution F
 
 
-def apply_F_tables(parent, children) -> None:
-    """In-place F on the tables of tables_of; see involution_F."""
-    n = len(children) - 1  # labels are 0..n
-    sibs = children[parent[n]]
-    pos = sibs.index(n)
-    if pos == len(sibs) - 1:
-        return
+def _delete_step(parent, children, k):
+    """Apply F, then delete leaf k = len(children) - 1: a step of sigma.
+    Return the letter that reinserts k and whether k's right neighbour j
+    was a violator.  F moves nothing across k or out of k's parent p, so
+    the letter, 2j or 2p + 1, is read before F, and p's list is written once."""
+    p = parent.pop()
+    children.pop()
+    sibs = children[p]
+    pos = sibs.index(k)
+    if pos + 1 == len(sibs):  # k is a last child, where F is the identity
+        children[p] = sibs[:pos]
+        return 2 * p + 1, False
     j = sibs[pos + 1]
-    if _is_violator(parent, children, j):
-        # big cohort of j is P a Q n; P a become j's leftmost children
-        if _assoc_at(sibs, pos + 1) != n:
-            _cohort_to_children(parent, children, j)
-    else:
-        assert children[j], "a complier with n as left neighbour has children"
-        _children_to_cohort(parent, children, j)
+    start = _big_cohort_start(sibs, pos + 1)
+    cohort, kids = sibs[start:pos], children[j]  # j's big cohort is cohort + (k,)
+    if not kids or cohort and min(cohort) < min(kids):  # a violator: P a become its first children
+        end = start + cohort.index(min(cohort)) + 1 if cohort else start
+        moved, children[j], to = sibs[start:end], sibs[start:end] + kids, j
+        children[p] = sibs[:start] + sibs[end:pos] + sibs[pos + 1:]
+    else:  # a complier: its smallest child and that child's cohort move left of its big cohort
+        end = kids.index(min(kids)) + 1
+        moved, children[j], to = kids[:end], kids[end:], p
+        children[p] = sibs[:start] + moved + cohort + sibs[pos + 1:]
+    for w in moved:
+        parent[w] = to
+    return 2 * j, to == j
+
+
+def _insert_step(parent, children, k, a):
+    """Insert leaf k = len(children) by word letter a, then apply F: a
+    step of sigma^-1, undone by _delete_step.  F is the identity after an
+    odd letter; after 2j, k is j's left neighbour and F flips j."""
+    j = a // 2
+    p = j if a % 2 else parent[j]
+    parent.append(p)
+    children.append(())
+    if a % 2:
+        children[p] += (k,)
+        return
+    sibs = children[p]
+    pos = sibs.index(j)
+    start = _big_cohort_start(sibs, pos)
+    cohort, kids = sibs[start:pos], children[j]  # j's big cohort becomes cohort + (k,)
+    if not kids or cohort and min(cohort) < min(kids):  # a violator: P a become its first children
+        end = start + cohort.index(min(cohort)) + 1 if cohort else start
+        moved, children[j], to = sibs[start:end], sibs[start:end] + kids, j
+        children[p] = sibs[:start] + sibs[end:pos] + (k,) + sibs[pos:]
+    else:  # a complier: its smallest child and that child's cohort move left of its big cohort
+        end = kids.index(min(kids)) + 1
+        moved, children[j], to = kids[:end], kids[end:], p
+        children[p] = sibs[:start] + moved + cohort + (k,) + sibs[pos:]
+    for w in moved:
+        parent[w] = to
+
+
+def apply_F_tables(parent, children) -> None:
+    """In-place F on the tables of tables_of; see involution_F.  F moves
+    nothing across n, so it is _delete_step with n put back by _insert."""
+    n = len(children) - 1  # labels are 0..n
+    _insert(parent, children, n, _delete_step(parent, children, n)[0])
 
 
 def involution_F(t: Tree) -> Tree:
@@ -553,15 +604,17 @@ def H_map(t: Tree, v: int) -> int:
     """
     kids = t.kids
     _require_vertex(kids, v)
-    return _H(_parents(kids), kids, v)
+    parent = _parents(kids)
+    if _is_violator(parent, kids, v):
+        raise ValueError(f"{v} is a violator, H is not defined there")
+    return _H(parent, kids, v)
 
 
 def _H(parent, children, v):
-    """H on tables.  A partner is the left neighbour or the rightmost
-    child of its violator, so the one violator v can be partner of is
-    its right neighbour, or its parent when v is a last child."""
-    if _is_violator(parent, children, v):
-        raise ValueError(f"{v} is a violator, H is not defined there")
+    """H on tables, from a complier v.  A partner is the left neighbour
+    or the rightmost child of its violator, so the one violator v can be
+    partner of is its right neighbour, or its parent when v is a last
+    child."""
     while True:
         p = parent[v]
         sibs = children[p]

@@ -99,3 +99,35 @@ def test_a_dropped_bad_vertex_fails_theorem2(monkeypatch):
     monkeypatch.setattr(tree_core, "_bad", drop_one)
     passed, counterexample, _ = checks.check_theorem2(6)
     assert not passed and counterexample["n"] == 4
+
+
+def test_a_skipped_complier_move_in_the_delete_step_fails_sigma_and_Phi(monkeypatch):
+    step = tree_core._delete_step
+
+    def no_complier_move(parent, children, k):  # k's complier right neighbour keeps its children
+        sibs = children[parent[k]]
+        pos = sibs.index(k)
+        if pos + 1 < len(sibs) and not tree_core._is_violator(parent, children, sibs[pos + 1]):
+            return tree_core._remove_largest(parent, children, k), False
+        return step(parent, children, k)
+
+    monkeypatch.setattr(bijections, "_delete_step", no_complier_move)
+    passed, counterexample, _ = checks.check_sigma(5)
+    assert not passed and counterexample["n"] == 3  # 0(3,1(2)) is the first complier case
+    passed, counterexample, _ = checks.check_Phi_equality(5)  # Phi_recursive reads a wrong partner
+    assert not passed and counterexample["tree"] == tree_to_json(tree_core.tree_from_text("0(3,1(2))"))
+
+
+def test_a_skipped_violator_move_in_the_insert_step_fails_sigma(monkeypatch):
+    step = tree_core._insert_step
+
+    def no_violator_move(parent, children, k, a):  # a violator keeps its big cohort when k joins it
+        p, sibs = tree_core._insert(parent, children, k, a)
+        if a % 2 == 0 and not tree_core._is_violator(parent, children, a // 2):
+            children[p] = sibs  # a complier: undo, and let the real step move its children
+            del parent[k], children[k]
+            step(parent, children, k, a)
+
+    monkeypatch.setattr(bijections, "_insert_step", no_violator_move)
+    passed, counterexample, _ = checks.check_sigma(5)
+    assert not passed and counterexample["n"] == 3

@@ -17,7 +17,7 @@ KEPT_FOR_THE_TESTS = {
     "pi_leaf_map": "the leaf map pi of the bad-vertex count",
     "pi_inverse": "the inverse of pi, onto the reverse-bad vertices",
     "shift_S": "the shift map S of tau_inverse, which runs its kernel _shift",
-    "involution_F": "the involution F; sigma and Phi run apply_F_tables",
+    "involution_F": "the involution F; sigma and Phi run it inside _delete_step, sigma_inverse inside _insert_step",
     "prune_tree": "deleting the largest label, the step every tree code records",
     "associate": "the associate, on which the violator definition rests",
     "stirling_to_partition": "the Stirling matchings' correspondence with set partitions",

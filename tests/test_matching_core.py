@@ -289,6 +289,12 @@ def test_stirling_and_power_edge_cases():
     assert list(enumerate_power_matchings(2, -1)) == []
 
 
+def test_stirling_and_power_diagrams_are_not_limited_by_the_recursion_depth():
+    assert next(enumerate_stirling_matchings(1200, 1199)) == StirlingMatching(1200, frozenset({(1, 1200)}))
+    assert list(enumerate_power_matchings(1, 1200)) == [
+        PowerMatching(1201, 1200, frozenset((b, b) for b in range(1, 1201)))]
+
+
 def test_stirling_partition_bijection_small():
     for n in range(6):
         for k in range(n + 1):

@@ -1,19 +1,23 @@
-"""Pin the command-line outputs that must not change: the enumeration
-streams, every map on every small input, and the table, series, stats and
-draw subcommands, each by one sha256 over its stdout, stderr and exit code."""
+"""Pin the outputs that must not change: the enumeration streams, every
+map on every small input, and the table, series, stats and draw
+subcommands, each by one sha256 over its stdout, stderr and exit code;
+then the F, sigma and Phi kernels on small and large trees, and the
+order in which the Stirling and power diagrams are yielded."""
 
 import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from itertools import combinations
 from unittest import mock
 
-from klazar import cli
+from klazar import bijections, cli, codes
 from klazar.codes import code_to_text, enumerate_match_codes, enumerate_tree_codes, enumerate_words, word_to_text
-from klazar.matching_core import enumerate_matchings, matching_to_text
-from klazar.tree_core import enumerate_increasing_trees, klazar_violators, tree_to_json, tree_to_text
+from klazar.matching_core import enumerate_matchings, enumerate_power_matchings, enumerate_stirling_matchings
+from klazar.matching_core import matching_to_text
+from klazar.tree_core import enumerate_increasing_trees, involution_F, klazar_violators, tree_to_json, tree_to_text
 
 ENUMERATE_SHA256 = {
     "klazar-trees": "484a16519ed82c8db36a3b93784e516e9f9677af72f66647b5a74b47fc689418",
@@ -146,3 +150,37 @@ def _subcommand_calls(command):
 def test_table_series_stats_and_draw_outputs_are_pinned():
     got = {command: _sha256_of_calls(_subcommand_calls(command)) for command in SUBCOMMAND_SHA256}
     assert got == SUBCOMMAND_SHA256
+
+
+def _every_small_tree_then_seeded_trees_at_n300():
+    """Every tree with n <= 6, then 50 seeded uniform trees at n = 300,
+    whose long sibling lists reach each case of F many times."""
+    yield from (t for n in range(7) for t in enumerate_increasing_trees(n))
+    rng = random.Random(300)
+    for _ in range(50):
+        yield codes._word_to_tree(tuple(rng.randint(1, 2 * k - 1) for k in range(1, 301)))
+
+
+def test_F_sigma_and_Phi_are_pinned():
+    # taken before F moved inside sigma's delete and insert steps
+    digest = hashlib.sha256()
+    for t in _every_small_tree_then_seeded_trees_at_n300():
+        code = bijections.sigma(t)
+        digest.update(repr((t.kids, involution_F(t).kids if len(t.kids) > 1 else None, code,
+                            bijections.sigma_inverse(code).kids, bijections.Phi_recursive(t).partner,
+                            bijections.Phi_explicit(t).partner)).encode())
+    assert digest.hexdigest() == "4d8bc413c02957e6efdd2a2cf18b8d5ace3180f84660eebbcc3413415ec289b1"
+
+
+def test_stirling_and_power_yield_orders_are_pinned():
+    # taken when both enumerators still recursed
+    digest = hashlib.sha256()
+    for n in range(9):
+        for k in range(-1, n + 2):
+            for d in enumerate_stirling_matchings(n, k):
+                digest.update(repr(("S", n, k, d.cols, sorted(d.edges))).encode())
+    for k in range(5):
+        for n in range(6):
+            for d in enumerate_power_matchings(k, n):
+                digest.update(repr(("P", k, n, d.top_count, d.bottom_count, sorted(d.edges))).encode())
+    assert digest.hexdigest() == "662c7f9953da7efe11ea9fb7c6d4706848c0680d5ce2e6005443f95ae56aa68e"

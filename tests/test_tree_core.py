@@ -87,6 +87,23 @@ def test_validation_catches_bad_labelings():
             check_increasing_tree(Tree(((label,), ())))
 
 
+def test_rows_that_are_not_tuples_are_refused_by_every_map():
+    # a list row makes an unhashable tree unequal to its tuple twin; an int row is no row
+    from klazar.bijections import Phi_recursive, phi_inverse, sigma
+
+    for bad in (Tree([[1, 2], [], []]), Tree([(1,), [2], ()]), Tree([1, ()])):
+        for f in (check_increasing_tree, sigma, Phi_recursive, phi_inverse, involution_F, prune_tree):
+            with pytest.raises(ValueError, match="of the child table is not a tuple"):
+                f(bad)
+
+
+def test_an_order_fault_names_the_smallest_child_of_its_row():
+    with pytest.raises(ValueError, match="child 1 does not exceed parent 3"):
+        check_increasing_tree(tree_from_text("0(3(2,1))"))
+    with pytest.raises(ValueError):  # two faults in one row: never a TypeError from comparing them
+        check_increasing_tree(Tree(((1,), (0, "a"))))
+
+
 @given(words())
 def test_tables_roundtrip(w):
     t = tree_from_word(w)
