@@ -9,7 +9,10 @@ construction: no check validates them, each calls the _-prefixed
 kernels and reads its counts off the child or partner tables.  The code
 checks hand each word of codes.enumerate_words to the kernels.  The
 partner-table count readers, matching_core._parity_pairs and _verticals,
-live beside the line readers they count.
+live beside the line readers they count.  The checks on Klazar trees
+and upline-free matchings walk those families alone, and both cuts are
+exact: no insertion cures a violator, and a step lowers the upline count
+by at most one (tree_core and matching_core say why).
 """
 
 from __future__ import annotations
@@ -64,11 +67,7 @@ def check_eq1(max_n):
 def check_eq3(max_n):
     for n in range(max_n + 1):
         want = counting.odd_double_factorial(2 * n - 1)
-        total = sum(
-            1 << (n - t.kids[1:].count(()))  # 2 ** #interior vertices
-            for t in tree_core.enumerate_increasing_trees(n)
-            if not tree_core._klazar_violators(t.kids)
-        )
+        total = sum(1 << (n - t.kids[1:].count(())) for t in tree_core.enumerate_klazar_trees(n))  # 2 ** #nodes
         if total != want:
             return False, {"n": n, "sum": total, "expected": want}, []
         if n >= 1:
@@ -84,12 +83,9 @@ def check_eq2_vs_enum(max_n):
     w = counting.w12_sequence(max_n)
     gf = series.gf_w12(max_n)
     for n in range(max_n + 1):
-        klazar = sum(
-            1 for t in tree_core.enumerate_increasing_trees(n) if not tree_core._klazar_violators(t.kids)
-        )
         values = {
             "recurrence": w[n],
-            "enumeration": klazar,
+            "enumeration": sum(1 for _ in tree_core.enumerate_klazar_trees(n)),
             "formula": counting.no_upline_count(n),
             "series": gf.scalar(n),
         }
@@ -147,10 +143,9 @@ def check_quadrivariate(max_n):
 def check_pm_formula(max_n):
     for n in range(max_n + 1):
         tally = Counter()  # no-upline diagrams by (#even-even pairs, largest such end / 2)
-        for p in (m.partner for m in matching_core.enumerate_matchings(n)):
-            if not matching_core._parity_pairs(p)[0]:
-                ends = [x for x in range(2, len(p), 2) if p[x] < x and not p[x] % 2]
-                tally[(len(ends), ends[-1] // 2 if ends else 0)] += 1
+        for p in (m.partner for m in matching_core.enumerate_upline_free_matchings(n)):
+            ends = [x for x in range(2, len(p), 2) if p[x] < x and not p[x] % 2]
+            tally[(len(ends), ends[-1] // 2 if ends else 0)] += 1
         for k in range(n // 2 + 1):
             want = counting.no_upline_refined(n, k)
             got = sum(v for (kk, _), v in tally.items() if kk == k)
@@ -166,9 +161,7 @@ def check_pm_formula(max_n):
 
 def check_theorem8(max_n):
     for n in range(max_n + 1):
-        for m in matching_core.enumerate_matchings(n):
-            if matching_core._parity_pairs(m.partner)[0]:
-                continue
+        for m in matching_core.enumerate_upline_free_matchings(n):
             back = matching_core._compose(*matching_core._decompose(m))
             if back != m:
                 return False, {"n": n, "matching": m.to_json(), "recomposed": back.to_json()}, []
@@ -180,9 +173,8 @@ def check_class_split(max_n):
     its target set and expands back: with equal counts, a bijection."""
     for n in range(1, max_n + 1):
         by_class = {1: [], 2: [], 3: []}
-        for p in (m.partner for m in matching_core.enumerate_matchings(n)):
-            if not matching_core._parity_pairs(p)[0]:
-                by_class[matching_core._recurrence_class(p)].append(p)
+        for p in (m.partner for m in matching_core.enumerate_upline_free_matchings(n)):
+            by_class[matching_core._recurrence_class(p)].append(p)
         t1, t2, t3 = counting.eq4_terms(n)
         sizes = (len(by_class[1]), len(by_class[2]), len(by_class[3]))
         if sizes != (t1, t2, t3):
@@ -206,11 +198,7 @@ def check_class_split(max_n):
 def check_phi(max_n):
     for n in range(max_n + 1):
         seen = set()
-        trees = 0
-        for t in tree_core.enumerate_increasing_trees(n):
-            trees += 1
-            if tree_core._klazar_violators(t.kids):
-                continue
+        for t in tree_core.enumerate_klazar_trees(n):
             rb = len(tree_core._bad(t.kids, True))
             interior = [v for v in range(1, n + 1) if t.kids[v]]
             for r in range(len(interior) + 1):
@@ -226,8 +214,8 @@ def check_phi(max_n):
                     if not ok:
                         return False, {"n": n, "tree": tree_core.tree_to_json(t), "marks": sorted(marks)}, []
                     seen.add(img)
-        if len(seen) != trees:
-            return False, {"n": n, "images": len(seen), "trees": trees}, []
+        if len(seen) != counting.odd_double_factorial(2 * n - 1):
+            return False, {"n": n, "images": len(seen)}, []
     return True, None, []
 
 

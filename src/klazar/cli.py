@@ -132,18 +132,20 @@ def _emit(obj, fmt: str):
 
 
 def _shape_text(s) -> str:
-    return "(" + "".join(_shape_text(c) for c in s) + ")"
+    out, todo = [], [s]  # the shapes still to write, and the ")" closing each
+    while todo:
+        s = todo.pop()
+        out.append(s if s == ")" else "(")
+        if s != ")":
+            todo += (")", *reversed(s))
+    return "".join(out)
 
 
 ENUM_KINDS = {
     "trees": lambda n: tree_core.enumerate_increasing_trees(n),
-    "klazar-trees": lambda n: (
-        t for t in tree_core.enumerate_increasing_trees(n) if not tree_core.klazar_violators(t)
-    ),
+    "klazar-trees": lambda n: tree_core.enumerate_klazar_trees(n),
     "matchings": lambda n: matching_core.enumerate_matchings(n),
-    "no-upline-matchings": lambda n: (
-        m for m in matching_core.enumerate_matchings(n) if not matching_core._parity_pairs(m.partner)[0]
-    ),
+    "no-upline-matchings": lambda n: matching_core.enumerate_upline_free_matchings(n),
     "shapes": lambda n: tree_core.enumerate_shapes(n),
     "words": lambda n: codes.enumerate_words(n),
     "tree-codes": lambda n: codes.enumerate_tree_codes(n),

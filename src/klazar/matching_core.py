@@ -20,6 +20,12 @@ lines; the count readers _parity_pairs and _verticals serve the checks,
 the CLI and this module wherever only a count or an emptiness test is read.
 Each public map validates its input once and calls a _-prefixed kernel
 on the partner table; the checks call the kernels.
+
+The upline-free diagrams are walked, not filtered.  Enlarging with dot
+x < 2k turns x's line (x, y) into (x, 2k-1), an upline iff x is even, and
+(y, 2k), never one; the new pair is vertical.  So a step changes the
+upline count by [x even] - [(x, y) was an upline], at least -1, and a
+size-k prefix with more than n - k uplines cannot end upline-free.
 """
 
 from __future__ import annotations
@@ -260,6 +266,40 @@ def enumerate_matchings(n: int):
             return
         else:
             a = letters.pop()
+            k -= 1
+        _prune(partner)
+        a += 1
+
+
+def enumerate_upline_free_matchings(n: int):
+    """The upline-free matchings of enumerate_matchings(n), in its order:
+    its walk, cut by the upline bound in the module docstring."""
+    if n < 1:
+        yield from enumerate_matchings(n)
+        return
+    partner = [0]
+    stack = []  # (a_k, r) for each inner level k < n; _prune undoes the latest
+    a, k, r = 1, 1, n - 1  # r: the most uplines the step at level k may add
+    while True:
+        if a < 2 * k:
+            if a == 1:  # the new pair (2k-1, 2k), a vertical line
+                x, d = 2 * k, 0
+            else:  # d = [x even] - [(x, y) was an upline: x + y odd, the even one smaller]
+                x, y = a - 1, partner[a - 1]
+                d = a % 2 - ((x + y) % 2 and (y < x) == x % 2)
+            if d > r:
+                a += 1
+                continue
+            _enlarge(partner, x)
+            if k < n:
+                stack.append((a, r))
+                a, k, r = 1, k + 1, r - 1 - d
+                continue
+            yield Matching(tuple(partner))
+        elif k == 1:
+            return
+        else:
+            a, r = stack.pop()
             k -= 1
         _prune(partner)
         a += 1

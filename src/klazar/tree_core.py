@@ -12,6 +12,12 @@ A tree is its label-indexed child table, Tree(kids).  The statistics
 read it directly, the maps edit the lists of tables_of(t), and every
 walk is a loop, so no tree size is limited by Python's recursion depth.
 
+The Klazar (violator-free) trees are walked, not filtered.  Inserting
+the largest label k raises no associate and adds no child below one, so
+it cures no violator; it makes one only of its new right neighbour r,
+whose big cohort gains k, exactly when r is a leaf.  So the family is closed
+under deleting the largest label, and the walks drop k left of a leaf.
+
 Text notation used throughout: root label followed by a parenthesised
 child list, e.g. 0(1(3,6(11),9,4(10,5),2(8)),7).
 """
@@ -344,6 +350,36 @@ def enumerate_increasing_trees(n: int):
         a += 1
 
 
+def enumerate_klazar_trees(n: int):
+    """The violator-free trees of enumerate_increasing_trees(n), in its
+    order: its walk, skipping a letter 2j that puts k left of a leaf j."""
+    if n < 1:
+        yield from enumerate_increasing_trees(n)
+        return
+    parent, children = [None], [()]
+    stack = []  # (a_k, p, sibs) for each inner level k < n: its undo
+    a, k = 1, 1
+    while True:
+        while a < 2 * k and a % 2 == 0 and not children[a // 2]:  # k would make the leaf a // 2 a violator
+            a += 1
+        if a < 2 * k:
+            p, sibs = _insert(parent, children, k, a)
+            if k < n:
+                stack.append((a, p, sibs))
+                a, k = 1, k + 1
+                continue
+            yield Tree(children)
+        elif k == 1:
+            return
+        else:
+            a, p, sibs = stack.pop()
+            k -= 1
+        children[p] = sibs
+        children.pop()
+        parent.pop()
+        a += 1
+
+
 def enumerate_shapes(n: int):
     """Yield all n-edge ordered shapes (nested tuples), Catalan(n) many."""
     if n == 0:
@@ -362,14 +398,20 @@ def shape_of(t: Tree) -> tuple:
     return shapes[0]
 
 
+def _subshapes(s) -> list:
+    """The subshape at every vertex of s, breadth first: siblings are consecutive."""
+    out = [s]
+    for shape in out:
+        out.extend(shape)
+    return out
+
+
 def shape_edges(s) -> int:
-    return sum(1 + shape_edges(c) for c in s)
+    return len(_subshapes(s)) - 1
 
 
 def shape_leaves(s) -> int:
-    if not s:
-        return 1
-    return sum(shape_leaves(c) for c in s)
+    return _subshapes(s).count(())
 
 
 # ---------------------------------------------------------------------------
@@ -683,42 +725,28 @@ def tree_stats(t: Tree) -> VertexStats:
 
 
 def w12_of_shape(s) -> int:
-    """Number of violator-free increasing labelings of the shape s."""
-    return sum(1 for children in _labelings(s, shape_edges(s)) if not _klazar_violators(children))
-
-
-def _labelings(s, n):
-    """Yield the child table (tuples indexed by label) of every increasing
-    labeling of the n-edge shape s, as a fresh list.
-
-    These are the linear extensions of the shape: number its vertices
-    once, then give labels 1..n, in order, to any unlabelled vertex whose
-    parent already has a label.  One loop walks them on an undo stack.
-    """
-    shapes, kids = [s], []  # kids[i]: numbers of vertex i's children
-    for shape in shapes:  # numbers vertices breadth first
-        kids.append(tuple(range(len(shapes), len(shapes) + len(shape))))
-        shapes.extend(shape)
-    inner = [(i, ks) for i, ks in enumerate(kids) if ks]
-    label = [0] * (n + 1)
-    stack = []  # (ready, j) per labelled vertex: the choice to undo
-    ready, j = kids[0], 0  # ready: unlabelled vertices with a labelled parent
-    while True:
-        if len(stack) == n:
-            table = [()] * (n + 1)
-            for i, ks in inner:
-                table[label[i]] = tuple(map(label.__getitem__, ks))
-            yield table
-        elif j < len(ready):
-            i = ready[j]
-            stack.append((ready, j))
-            label[i] = len(stack)
-            ready, j = ready[:j] + ready[j + 1:] + kids[i], 0
-            continue
-        if not stack:
-            return
-        ready, j = stack.pop()
-        j += 1
+    """Number of violator-free increasing labelings of the shape s: labels
+    1, 2, ... go in turn to a vertex with a labelled parent, never left of a
+    labelled leaf, and as that cut and the count of completions depend only
+    on the labelled set (a bit mask of breadth-first numbers), prefixes merge."""
+    kids, right = [], [0]  # bit masks of each vertex's children and right siblings
+    for shape in _subshapes(s):
+        first, end = len(right), len(right) + len(shape)
+        kids.append((1 << end) - (1 << first))
+        right += [(1 << end) - (2 << c) for c in range(first, end)]
+    layer = {1: (1, kids[0])}  # labelled set -> (labelings, vertices ready for the next label)
+    for _ in kids[1:]:
+        grown = {}
+        for done, (count, ready) in layer.items():
+            todo = ready
+            while todo:
+                i = (todo & -todo).bit_length() - 1
+                todo &= todo - 1
+                near = done & right[i]  # the nearest labelled right sibling is the lowest bit
+                if not near or done & kids[(near & -near).bit_length() - 1]:
+                    grown[done | 1 << i] = (grown.get(done | 1 << i, (0,))[0] + count, ready ^ 1 << i | kids[i])
+        layer = grown
+    return sum(count for count, _ in layer.values())
 
 
 def klazar_weighted_sum(n: int) -> int:

@@ -1,6 +1,7 @@
 """The counts and kernels the verification checks run on agree with the
 routes they replace: every object with n <= 6, then seeded large ones."""
 
+import inspect
 import random
 from itertools import chain
 
@@ -131,3 +132,35 @@ def test_a_skipped_violator_move_in_the_insert_step_fails_sigma(monkeypatch):
     monkeypatch.setattr(bijections, "_insert_step", no_violator_move)
     passed, counterexample, _ = checks.check_sigma(5)
     assert not passed and counterexample["n"] == 3
+
+
+def mutant(module, name, old, new):
+    """module.name rebuilt from its source with the text old, which must
+    occur once, replaced by new: a fault planted inside a loop that calls
+    no kernel it could be planted in."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
+
+
+def test_a_tree_cut_that_keeps_a_leaf_fails_eq2_and_eq3(monkeypatch):
+    # the leaf j is treated as a complier: k is put left of it anyway
+    walk = mutant(tree_core, "enumerate_klazar_trees", "not children[a // 2]", "False")
+    assert sum(1 for _ in walk(3)) == 15  # every tree: the one cut is gone
+    monkeypatch.setattr(tree_core, "enumerate_klazar_trees", walk)
+    passed, counterexample, _ = checks.check_eq2_vs_enum(6)
+    assert not passed and counterexample["n"] == 2 and counterexample["enumeration"] == 3
+    passed, counterexample, _ = checks.check_eq3(6)
+    assert not passed and counterexample == {"n": 2, "sum": 4, "expected": 3}
+
+
+def test_an_upline_bound_one_too_tight_fails_pm_formula_and_class_split(monkeypatch):
+    # below the last level a prefix is kept only while u < n - k
+    walk = mutant(matching_core, "enumerate_upline_free_matchings", "if d > r:", "if d > r - (k < n):")
+    monkeypatch.setattr(matching_core, "enumerate_upline_free_matchings", walk)
+    passed, counterexample, _ = checks.check_pm_formula(6)
+    assert not passed and counterexample["n"] == 3
+    passed, counterexample, _ = checks.check_class_split(6)
+    assert not passed and counterexample["n"] == 3 and "sizes" in counterexample

@@ -66,6 +66,14 @@ def test_enumerate_klazar_trees_counts_match(monkeypatch, capsys):
     assert out.splitlines()[-1] == "count 35"
 
 
+def test_shape_text_is_not_limited_by_the_recursion_depth():
+    path = ()
+    for _ in range(1500):
+        path = (path,)
+    assert cli._shape_text(path) == "(" * 1501 + ")" * 1501
+    assert cli._shape_text(((), ((),), ())) == "(()(())())"
+
+
 def test_enumerate_guard(monkeypatch, capsys):
     code, _, err = run(["enumerate", "--kind", "trees", "--n", "11"], capsys=capsys)
     assert code == 2

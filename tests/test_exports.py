@@ -24,6 +24,7 @@ KEPT_FOR_THE_TESTS = {
     "decompose_no_upline": "Theorem 8's decomposition; its check runs _decompose",
     "compose_no_upline": "Theorem 8's composition; its check runs _compose",
     "shape_of": "the shape of a tree, over which the w12 weights are summed",
+    "shape_edges": "the edge count of a shape; w12_of_shape and shape_leaves read its vertex list",
     "tree_stats": "every vertex statistic at once; stats reads its counts off the child table",
     "word_parity_stats": "Corollary 13's word statistic; stats and the checks run _word_parity_stats",
     "enlarge": "the elevator's growing step; enumeration, the codes, tau and Phi run _enlarge",

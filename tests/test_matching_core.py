@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce as bf
-from klazar import matching_core
+from klazar import counting, matching_core
 from klazar.matching_core import (
     EMPTY_MATCHING,
     Matching,
@@ -25,6 +25,7 @@ from klazar.matching_core import (
     enumerate_matchings,
     enumerate_power_matchings,
     enumerate_stirling_matchings,
+    enumerate_upline_free_matchings,
     matching_from_text,
     matching_to_text,
     prune_matching,
@@ -104,6 +105,26 @@ def test_enumeration_matches_bruteforce():
     for n in range(5):
         lib = {frozenset(m.pairs()) for m in enumerate_matchings(n)}
         assert lib == set(bf.bf_matchings(n))
+
+
+def test_upline_free_walk_is_the_filtered_enumeration_in_order():
+    for n in range(8):
+        assert list(enumerate_upline_free_matchings(n)) == [
+            m for m in enumerate_matchings(n) if not uplines(m)
+        ]
+    with pytest.raises(ValueError):
+        next(enumerate_upline_free_matchings(-1))
+
+
+def test_upline_free_walk_is_the_bruteforce_family():
+    for n in range(6):
+        walk = [frozenset(m.pairs()) for m in enumerate_upline_free_matchings(n)]
+        oracle = {m for m in bf.bf_matchings(n) if not bf.bf_uplines(m)}
+        assert len(set(walk)) == len(walk) and set(walk) == oracle
+
+
+def test_upline_free_walk_counts_the_one_sum_formula_at_n8():
+    assert sum(1 for _ in enumerate_upline_free_matchings(8)) == counting.no_upline_count(8) == 180560
 
 
 def test_edge_classification_against_bruteforce():

@@ -1,11 +1,10 @@
-import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce as bf
-from klazar import tree_core
+from klazar import counting
 from klazar.tree_core import (
     INFINITY,
     MarkedTree,
@@ -18,6 +17,7 @@ from klazar.tree_core import (
     cohort,
     descent_terminators,
     enumerate_increasing_trees,
+    enumerate_klazar_trees,
     enumerate_shapes,
     H_map,
     involution_F,
@@ -137,6 +137,26 @@ def test_enumeration_matches_bruteforce_at_n4():
     for j in bf.bf_trees(4):
         ora.add(tree_to_text(tree_from_json(j)))
     assert lib == ora
+
+
+def test_klazar_walk_is_the_filtered_enumeration_in_order():
+    for n in range(8):
+        assert list(enumerate_klazar_trees(n)) == [
+            t for t in enumerate_increasing_trees(n) if not klazar_violators(t)
+        ]
+    with pytest.raises(ValueError):
+        next(enumerate_klazar_trees(-1))
+
+
+def test_klazar_walk_is_the_bruteforce_family():
+    for n in range(6):
+        walk = list(enumerate_klazar_trees(n))
+        oracle = {tree_from_json(j) for j in bf.bf_trees(n) if not bf.bf_violators(j)}
+        assert len(set(walk)) == len(walk) and set(walk) == oracle
+
+
+def test_klazar_walk_counts_w12_at_n8():
+    assert sum(1 for _ in enumerate_klazar_trees(8)) == counting.w12_sequence(8)[8] == 180560
 
 
 def test_every_enumerated_tree_validates():
@@ -343,19 +363,27 @@ def test_w12_of_shape_agrees_with_filtered_enumeration():
             assert w12_of_shape(s) == tally.get(s, 0)
 
 
-def test_labelings_are_every_increasing_labeling_once():
-    # hook-length count: a shape with n edges has n! / prod(non-root subtree
-    # sizes) increasing labelings, violators or not
-    def hooks(s):
-        return math.prod(shape_edges(c) + 1 for c in s) * math.prod(map(hooks, s))
+def test_w12_of_shape_counts_the_bruteforce_klazar_trees_of_each_shape():
+    def shape(j):  # the shape of a JSON tree
+        return tuple(shape(c) for c in j["children"])
 
-    for n in range(7):
-        for s in enumerate_shapes(n):
-            tables = [tuple(t) for t in tree_core._labelings(s, n)]
-            assert len(set(tables)) == len(tables) == math.factorial(n) // hooks(s)
-            for t in tables:
-                assert check_increasing_tree(Tree(t)) == n
-                assert shape_of(Tree(t)) == s
+    for n in range(6):
+        tally = {}
+        for j in bf.bf_trees(n):
+            if not bf.bf_violators(j):
+                tally[shape(j)] = tally.get(shape(j), 0) + 1
+        assert {s: w12_of_shape(s) for s in enumerate_shapes(n) if w12_of_shape(s)} == tally
+
+
+def test_shape_helpers_are_not_limited_by_the_recursion_depth():
+    path = ()
+    for _ in range(1500):
+        path = (path,)
+    assert w12_of_shape(path) == 1
+    assert shape_edges(path) == 1500
+    assert shape_leaves(path) == 1
+    # a star's labelings are all increasing; a leaf's larger left neighbour makes it a violator
+    assert w12_of_shape(((),) * 6) == 1 and shape_leaves(((),) * 6) == 6
 
 
 def test_weighted_sum_hits_the_double_factorial():
